@@ -46,8 +46,7 @@ from .metrics import (
     quality_report,
     rate_distortion_sweep,
 )
-from .quantize import QuantizerConfig, dequantize, quantize
-from .rle import rle_decode, rle_encode
+from .quantize import QuantizerConfig
 from .synth import synth_image
 from .transport import (
     FragmentationPlan,

@@ -152,6 +152,9 @@ class CompressedBitstream:
         if len(data) < pos + need:
             raise BitstreamError("truncated step table", len(data))
         steps = struct.unpack_from(f"<{step_count}I", data, pos)
+        for i, step in enumerate(steps):
+            if step < 1:
+                raise BitstreamError(f"quantizer step {step} must be >= 1", pos + 4 * i)
         pos += need
         if len(data) < pos + 4:
             raise BitstreamError("truncated code table", len(data))

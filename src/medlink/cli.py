@@ -62,12 +62,6 @@ class RunConfig:
     cr_points: list[float] = field(default_factory=list)
     ascii_output: bool = False
 
-    def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
-        if not self.scenarios:
-            raise ValueError("scenario set cannot be empty")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -133,6 +127,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "levels", None) is not None:
         cfg.levels = args.levels
     if getattr(args, "cr", None) is not None:
+        if not args.cr >= 1.0:  # also rejects NaN
+            raise ValueError(f"--cr {args.cr:g} must be >= 1")
         cfg.target_cr = args.cr
     cfg.lossless = getattr(args, "lossless", False)
     cfg.ascii_output = getattr(args, "ascii_output", False)
@@ -141,6 +137,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.inputs = inputs if isinstance(inputs, list) else [inputs]
     if args.command == "simulate":
         cfg.blocksize = args.blocksize
+        if not args.fps > 0:
+            raise ValueError(f"--fps {args.fps:g} must be positive")
         cfg.fps = args.fps
         cfg.require_feasible = args.require_feasible
         cfg.mac_config = args.mac_config
@@ -157,14 +155,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             phy = env or "all"
         cfg.phy = ("11b", "11g") if phy == "all" else (phy,)
     if args.command == "sweep":
-        points = [p for p in args.cr_points.split(",") if p.strip()]
-        if not points:
-            raise ValueError("--cr-points is empty")
-        cfg.cr_points = [float(p) for p in points]
-        if any(p < 1.0 for p in cfg.cr_points):
-            raise ValueError("--cr-points must all be >= 1")
-        if any(b <= a for a, b in zip(cfg.cr_points, cfg.cr_points[1:])):
-            raise ValueError("--cr-points must be strictly ascending")
+        cfg.cr_points = metrics.check_rate_points(
+            p for p in args.cr_points.split(",") if p.strip()
+        )
     return cfg
 
 

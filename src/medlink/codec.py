@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstream import BitstreamError, CompressedBitstream, pack_header
+from .bitstream import CompressedBitstream, pack_header
 from .dwt import DetailBands, SubbandPyramid, dwt_forward, dwt_inverse, subband_shapes
 from .huffman import (
     HuffmanCode,
@@ -269,8 +269,3 @@ def decompress(stream: CompressedBitstream) -> GrayImage:
         return dwt_inverse(dequantize(pyramid, config))
     except ValueError as exc:
         raise DecodeError(f"inconsistent subband geometry: {exc}") from exc
-
-
-def compressed_ratio(image: GrayImage, stream: CompressedBitstream) -> float:
-    """Achieved compression ratio of a stream against its source image."""
-    return image.total_bits / stream.bit_length

@@ -26,7 +26,6 @@ as microsecond floats.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields, replace
 
 from .transport import ACK_MSDU, FragmentationPlan
@@ -48,8 +47,6 @@ __all__ = [
     "budget_superframe",
     "load_mac_config",
 ]
-
-SCENARIOS = ("dcf", "dcf-rts", "pcf")
 
 
 @dataclass(frozen=True)
@@ -124,17 +121,6 @@ PROFILES = {"11b": PROFILE_11B, "11g": PROFILE_11G}
 MEAN_BACKOFF_HALF_CWMIN_11B = 15.5
 
 PROFILE_ENV_VAR = "MEDLINK_PROFILE"
-
-
-def default_profile_name() -> str:
-    """Profile selected by the environment, falling back to 802.11b."""
-    name = os.environ.get(PROFILE_ENV_VAR, "11b")
-    if name not in PROFILES:
-        raise ValueError(
-            f"{PROFILE_ENV_VAR}={name!r} is not a known profile "
-            f"(expected one of {sorted(PROFILES)})"
-        )
-    return name
 
 
 def frame_airtime(params: MacParameters, msdu_bytes: int, rate: float) -> float:
@@ -219,64 +205,57 @@ def _pcf_exchange_ns(params: MacParameters, msdu: int) -> int:
     return params.retx_factor * (data + sifs + ack + sifs)
 
 
-def _dcf_packets_ns(plan: FragmentationPlan, params: MacParameters) -> list[int]:
-    cache: dict[int, int] = {}
-    packets = []
-    for msdu in plan.packet_payloads:
-        if msdu not in cache:
-            cache[msdu] = _dcf_exchange_ns(params, msdu)
-            if plan.tftp_ack:
-                cache[msdu] += _dcf_exchange_ns(params, ACK_MSDU)
-        packets.append(cache[msdu])
-    return packets
-
-
-def simulate_dcf(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
-    return _finish("dcf", _dcf_packets_ns(plan, params), plan)
-
-
-def simulate_dcf_rts(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
-    """DCF plus a single RTS/CTS reservation opening the image burst."""
-    packets = _dcf_packets_ns(plan, params)
-    reservation = (
+def _rts_cts_ns(params: MacParameters) -> int:
+    """The RTS/CTS reservation that opens a DCF image burst."""
+    return (
         _ns(control_airtime(params, params.rts_bytes))
         + _ns(params.sifs)
         + _ns(control_airtime(params, params.cts_bytes))
         + _ns(params.sifs)
     )
-    packets[0] += reservation
-    return _finish("dcf-rts", packets, plan)
 
 
-def simulate_pcf(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
-    """Contention-free delivery; PIFS once to seize the medium."""
-    cache: dict[int, int] = {}
-    packets = []
-    for msdu in plan.packet_payloads:
-        if msdu not in cache:
-            cache[msdu] = _pcf_exchange_ns(params, msdu)
-            if plan.tftp_ack:
-                cache[msdu] += _pcf_exchange_ns(params, ACK_MSDU)
-        packets.append(cache[msdu])
-    packets[0] += _ns(params.pifs)
-    return _finish("pcf", packets, plan)
-
-
-_SIMULATORS = {
-    "dcf": simulate_dcf,
-    "dcf-rts": simulate_dcf_rts,
-    "pcf": simulate_pcf,
+# scenario -> (per-delivery exchange, one-off surcharge on the first packet)
+_SCENARIO_TIMING = {
+    "dcf": (_dcf_exchange_ns, lambda params: 0),
+    "dcf-rts": (_dcf_exchange_ns, _rts_cts_ns),
+    "pcf": (_pcf_exchange_ns, lambda params: _ns(params.pifs)),
 }
+SCENARIOS = tuple(_SCENARIO_TIMING)
 
 
 def simulate(scenario: str, plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
+    """Time every packet of ``plan`` under one access scenario."""
     try:
-        sim = _SIMULATORS[scenario]
+        exchange_ns, surcharge_ns = _SCENARIO_TIMING[scenario]
     except KeyError:
         raise ValueError(
             f"unknown scenario {scenario!r}, expected one of {SCENARIOS}"
         ) from None
-    return sim(plan, params)
+    cache: dict[int, int] = {}
+    packets = []
+    for msdu in plan.packet_payloads:
+        if msdu not in cache:
+            cache[msdu] = exchange_ns(params, msdu)
+            if plan.tftp_ack:
+                cache[msdu] += exchange_ns(params, ACK_MSDU)
+        packets.append(cache[msdu])
+    packets[0] += surcharge_ns(params)
+    return _finish(scenario, packets, plan)
+
+
+def simulate_dcf(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
+    return simulate("dcf", plan, params)
+
+
+def simulate_dcf_rts(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
+    """DCF plus a single RTS/CTS reservation opening the image burst."""
+    return simulate("dcf-rts", plan, params)
+
+
+def simulate_pcf(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
+    """Contention-free delivery; PIFS once to seize the medium."""
+    return simulate("pcf", plan, params)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ __all__ = [
     "MetricsError",
     "QualityReport",
     "RatePoint",
+    "check_rate_points",
     "compression_ratio",
     "entropy_h0",
     "mse",
@@ -140,6 +141,19 @@ class RatePoint:
         )
 
 
+def check_rate_points(points) -> list[float]:
+    """Target ratios as floats; there must be at least one, all >= 1 and
+    strictly ascending."""
+    targets = [float(t) for t in points]
+    if not targets:
+        raise MetricsError("no rate points given")
+    if not all(t >= 1.0 for t in targets):  # also rejects NaN
+        raise MetricsError("rate points must be >= 1")
+    if any(b <= a for a, b in zip(targets, targets[1:])):
+        raise MetricsError("rate points must be strictly ascending")
+    return targets
+
+
 def rate_distortion_sweep(
     image: GrayImage, cr_points, levels: int = 3
 ) -> list[RatePoint]:
@@ -150,13 +164,7 @@ def rate_distortion_sweep(
     be non-decreasing along the achieved points; a violation raises
     MetricsError since it means rate control misbehaved.
     """
-    targets = [float(t) for t in cr_points]
-    if not targets:
-        raise MetricsError("no rate points given")
-    if any(t < 1.0 for t in targets):
-        raise MetricsError("rate points must be >= 1")
-    if any(b <= a for a, b in zip(targets, targets[1:])):
-        raise MetricsError("rate points must be strictly ascending")
+    targets = check_rate_points(cr_points)
     points: list[RatePoint] = []
     for target in targets:
         try:

@@ -76,6 +76,16 @@ def test_step_count_must_match_levels():
         CompressedBitstream.from_bytes(bytes(data))
 
 
+@pytest.mark.parametrize("index", [0, 6])
+def test_zero_quantizer_step_rejected_with_its_offset(index):
+    data = bytearray(_sample_stream().to_bytes())
+    offset = 18 + 4 * index
+    data[offset : offset + 4] = bytes(4)
+    with pytest.raises(BitstreamError, match="step") as err:
+        CompressedBitstream.from_bytes(bytes(data))
+    assert err.value.offset == offset
+
+
 def test_payload_length_mismatch_rejected_on_write():
     stream = _sample_stream(payload=b"\x00", payload_bits=42)
     with pytest.raises(BitstreamError):

@@ -1,6 +1,8 @@
 """End-to-end command-line tests, run in process via main()."""
 
+import hashlib
 import math
+import struct
 
 import pytest
 
@@ -112,6 +114,27 @@ def test_simulate_feasibility_gate(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("fps", ["0", "-5"])
+def test_simulate_rejects_non_positive_fps(tmp_path, fps):
+    rc = main([
+        "simulate", "--require-feasible", "--fps", fps, "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert not (tmp_path / "timing.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--cr", "0"],
+    ["simulate", "--cr", "0.5"],
+    ["simulate", "--cr", "nan"],
+    ["compress", "--input", SPEC_SMALL, "--cr", "0.5"],
+    ["sweep", "--input", SPEC_SMALL, "--cr-points", "2", "--cr", "0"],
+])
+def test_ratio_below_one_is_a_usage_error(tmp_path, command):
+    assert main([*command, "--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_profile_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("MEDLINK_PROFILE", "11g")
     assert main(["simulate", "--out", str(tmp_path)]) == 0
@@ -184,6 +207,15 @@ def test_corrupt_container_is_a_codec_error(tmp_path):
     assert main(["decompress", "--input", str(truncated), "--out", str(tmp_path)]) == 3
 
 
+def test_zero_quantizer_step_is_a_codec_error(tmp_path):
+    assert main(["compress", "--input", SPEC_SMALL, "--out", str(tmp_path)]) == 0
+    data = bytearray((tmp_path / f"{NAME_SMALL}.wbc").read_bytes())
+    struct.pack_into("<I", data, 18, 0)  # first quantizer step
+    bad = tmp_path / "zero_step.wbc"
+    bad.write_bytes(bytes(data))
+    assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
+
+
 def test_unreachable_ratio_is_a_codec_error(tmp_path):
     rc = main([
         "compress", "--input", "synth:noise:64x64x8:seed=0", "--cr", "500",
@@ -225,3 +257,29 @@ def test_sweep_rejects_bad_rate_points(tmp_path):
     assert main([*base, "--cr-points", "20,10"]) == 2
     assert main([*base, "--cr-points", "0.5,2"]) == 2
     assert main([*base, "--cr-points", ","]) == 2
+    assert main([*base, "--cr-points", "2,nan"]) == 2
+
+
+# sha256 of reference outputs: a change to either is a change in the
+# numbers the tool reports, so it must be deliberate
+DEFAULT_TIMING_SHA256 = "3f93ed4241e54d27031fcae7383b7d88b3f8b503460dd83e4835b65e88a9b371"
+SWEEP_FRAG_SHA256 = "7f9fbccb82b3fe6f54bf8c71260345d667f255259424448d1adef94a9febaf8c"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_default_simulate_timing_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("MEDLINK_PROFILE", raising=False)
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "timing.csv") == DEFAULT_TIMING_SHA256
+
+
+def test_sweep_fragmentation_bytes_are_pinned(tmp_path):
+    rc = main([
+        "sweep", "--input", "synth:blobs:128x128x16:seed=2",
+        "--cr-points", "2,5,10,20", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    assert _sha256(tmp_path / "blobs-128x128-s2_frag.csv") == SWEEP_FRAG_SHA256

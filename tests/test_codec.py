@@ -15,7 +15,6 @@ from medlink.codec import (
 )
 from medlink.dwt import dwt_forward
 from medlink.image_io import GrayImage
-from medlink.rle import rle_encode
 from medlink.synth import synth_image
 
 
@@ -26,13 +25,20 @@ def _random_image(rng, w=None, h=None, depth=8):
 
 
 def _tokens_via_pairs(flat):
-    """Oracle tokenization: public RLE pairs mapped to the token scheme."""
+    """Oracle tokenization: a plain loop that emits the pair [0, run] for
+    each zero run and passes nonzero values through; no numpy."""
     tokens = []
-    for run, value in rle_encode(flat):
+    run = 0
+    for value in flat.tolist():
         if value == 0:
+            run += 1
+            continue
+        if run:
             tokens.extend([0, run])
-        else:
-            tokens.append(value)
+            run = 0
+        tokens.append(value)
+    if run:
+        tokens.extend([0, run])
     return tokens
 
 

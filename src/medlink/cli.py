@@ -234,12 +234,16 @@ def cmd_decompress(cfg: RunConfig) -> int:
 
 def _sized_inputs(cfg: RunConfig) -> list[tuple[str, int, int, int]]:
     """Resolve simulate inputs to (name, width, height, container bytes)."""
-    if not cfg.inputs:
-        return [
-            (name, w, h, transport.nominal_compressed_bytes(w, h, depth, cfg.target_cr))
-            for name, w, h, depth in DEFAULT_MODALITIES
-        ]
     sized = []
+    if not cfg.inputs:
+        for name, w, h, depth in DEFAULT_MODALITIES:
+            nbytes = transport.nominal_compressed_bytes(w, h, depth, cfg.target_cr)
+            if nbytes < 1:
+                raise ValueError(
+                    f"--cr {cfg.target_cr:g} leaves no bytes for a {w}x{h}x{depth} image"
+                )
+            sized.append((name, w, h, nbytes))
+        return sized
     for spec in cfg.inputs:
         if spec.endswith(".wbc"):
             data = Path(spec).read_bytes()

@@ -2,11 +2,14 @@
 
 ``compress`` decomposes the image, then searches a geometric grid of
 quantizer scales (sixteenth-octave spacing) for the smallest scale whose
-encoded size meets the requested compression ratio. Sizes during the
-search are computed from code-length tables and symbol frequencies, so
-no payload bits are materialized until the final encode. ``decompress``
-inverts the whole chain; with all quantizer steps at 1 the round trip is
-bit-exact.
+encoded size meets the requested compression ratio. It bisects the
+whole grid, scale 1.0 included, so there is no separate lossless probe.
+A probe's exact size comes from each plane's table of distinct values
+(quantized in place of the plane) and a zero mask from one magnitude
+compare per plane; symbol frequencies, the Huffman code lengths and the
+header follow from those. No quantized plane, token array or payload
+exists until the chosen config is encoded. ``decompress`` inverts the
+whole chain; with all quantizer steps at 1 the round trip is bit-exact.
 
 The entropy stage sees the coefficient planes as one stream (LL first,
 then detail planes, finest level to deepest). Zero runs become the token
@@ -27,7 +30,7 @@ from .huffman import (
     huffman_encode,
 )
 from .image_io import GrayImage
-from .quantize import QuantizerConfig, dequantize, quantize
+from .quantize import QuantizerConfig, _quantize_plane, dequantize, quantize
 
 __all__ = [
     "CodecError",
@@ -140,44 +143,143 @@ def _detokenize(tokens: np.ndarray, expected: int) -> np.ndarray:
     return np.repeat(np.where(unit_is_run, np.int64(0), units), counts)
 
 
-def _frequencies(tokens: np.ndarray) -> dict[int, int]:
-    if tokens.size == 0:
+def _value_table(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values in ascending order, with how often each occurs
+    (or, given ``weights``, the sum of the weights at each value)."""
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    if span <= 16 * values.size + 1024:
+        counts = np.bincount(values - lo, weights=weights, minlength=span)
+        present = np.flatnonzero(counts)
+        return present + lo, counts[present].astype(np.int64)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct, np.bincount(inverse, weights=weights).astype(np.int64)
+
+
+def _frequencies(symbols: np.ndarray, weights=None) -> dict[int, int]:
+    """Symbol -> occurrence count (or -> sum of ``weights``)."""
+    if symbols.size == 0:
         return {}
-    lo = int(tokens.min())
-    hi = int(tokens.max())
-    span = hi - lo + 1
-    if span <= 16 * tokens.size + 1024:
-        counts = np.bincount(tokens - lo, minlength=span)
-        present = np.nonzero(counts)[0]
-        return {int(s + lo): int(counts[s]) for s in present}
-    symbols, counts = np.unique(tokens, return_counts=True)
-    return dict(zip(symbols.tolist(), counts.tolist()))
+    values, counts = _value_table(symbols, weights)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _sized_encode_plan(
-    image: GrayImage, pyramid: SubbandPyramid, config: QuantizerConfig
-):
-    """Quantize and size the stream without producing payload bits.
+class _ProbeSizer:
+    """Exact container size of a pyramid under any quantizer config,
+    computed without quantizing the planes or building tokens.
 
-    Returns (total container bits, tokens, code, payload bits).
+    Each plane is kept as its table of distinct values and counts, and
+    the whole stream as coefficient magnitudes. A probe quantizes only the
+    tables, which gives the nonzero token counts, and finds the zero runs
+    from one magnitude compare per plane. Runs cross plane boundaries, as
+    they do in ``_tokenize``.
     """
-    qpyr = quantize(pyramid, config)
-    tokens = _tokenize(_flatten(qpyr))
-    freqs = _frequencies(tokens)
-    code = huffman_build(freqs)
-    payload_bits = sum(code.lengths[s] * f for s, f in freqs.items())
-    header = pack_header(
-        image.width,
-        image.height,
-        image.bit_depth,
-        config.levels,
-        config.dead_zone,
-        config.steps,
-        code.lengths,
-        payload_bits,
+
+    def __init__(self, pyramid: SubbandPyramid):
+        self.pyramid = pyramid
+        planes = pyramid.plane_arrays()
+        self.tables = [_value_table(plane.ravel()) for plane in planes]
+        self.bounds = np.cumsum([0] + [plane.size for plane in planes]).tolist()
+        flat = _flatten(pyramid)
+        self.magnitudes = np.abs(flat, out=flat)
+
+    def frequencies(self, config: QuantizerConfig) -> dict[int, int]:
+        """Token frequencies, equal to ``_frequencies`` of the tokenized,
+        quantized stream."""
+        # one False on each side, so every zero run has a rising and a falling edge
+        zero = np.zeros(self.magnitudes.size + 2, dtype=bool)
+        symbols, weights = [], []
+        for (values, counts), step, lo, hi in zip(
+            self.tables, config.steps, self.bounds, self.bounds[1:]
+        ):
+            indices = _quantize_plane(values, step, config.dead_zone)
+            nonzero = indices != 0
+            symbols.append(indices[nonzero])
+            weights.append(counts[nonzero])
+            # the quantizer is monotone in |c|, so the plane's zeros are
+            # exactly the magnitudes below its smallest nonzero-mapped one
+            threshold = np.abs(values[nonzero]).min(initial=np.iinfo(np.int64).max)
+            np.less(self.magnitudes[lo:hi], threshold, out=zero[lo + 1 : hi + 1])
+        edges = np.flatnonzero(zero[1:] != zero[:-1])
+        run_lengths = edges[1::2] - edges[::2]
+        symbols.append(run_lengths)
+        weights.append(np.ones(run_lengths.size, dtype=np.int64))
+        freqs = _frequencies(np.concatenate(symbols), np.concatenate(weights))
+        if run_lengths.size:
+            freqs[0] = run_lengths.size
+        return freqs
+
+    def size(self, config: QuantizerConfig) -> tuple[int, int]:
+        """(total container bits, payload bits) under ``config``."""
+        freqs = self.frequencies(config)
+        code = huffman_build(freqs)
+        payload_bits = sum(code.lengths[s] * f for s, f in freqs.items())
+        pyramid = self.pyramid
+        header = pack_header(
+            pyramid.width,
+            pyramid.height,
+            pyramid.bit_depth,
+            config.levels,
+            config.dead_zone,
+            config.steps,
+            code.lengths,
+            payload_bits,
+        )
+        return (len(header) + (payload_bits + 7) // 8) * 8, payload_bits
+
+
+def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitstream:
+    tokens = _tokenize(_flatten(quantize(pyramid, config)))
+    code = huffman_build(_frequencies(tokens))
+    payload, payload_bits = huffman_encode(tokens, code)
+    return CompressedBitstream(
+        width=pyramid.width,
+        height=pyramid.height,
+        bit_depth=pyramid.bit_depth,
+        levels=config.levels,
+        dead_zone=config.dead_zone,
+        steps=config.steps,
+        code_lengths=code.lengths,
+        payload=payload,
+        payload_bit_length=payload_bits,
     )
-    total_bits = (len(header) + (payload_bits + 7) // 8) * 8
-    return total_bits, tokens, code, payload_bits
+
+
+def _grid_config(k: int, levels: int, dead_zone: bool) -> QuantizerConfig:
+    scale = 2.0 ** (k / _SCALE_STEPS_PER_OCTAVE)
+    return QuantizerConfig.from_scale(scale, levels, dead_zone)
+
+
+def _rate_search(
+    pyramid: SubbandPyramid, raw_bits: int, target_cr: float, dead_zone: bool
+) -> tuple[QuantizerConfig, int]:
+    """The smallest grid point whose container reaches ``target_cr``.
+
+    Checks the coarsest point, then bisects the whole grid, scale 1.0
+    (lossless) included. Returns the chosen config and its predicted
+    payload bits.
+    """
+    sizer = _ProbeSizer(pyramid)
+    sizes: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def total_bits(k: int) -> int:
+        config = _grid_config(k, pyramid.levels, dead_zone)
+        if config.steps not in sizes:
+            sizes[config.steps] = sizer.size(config)
+        return sizes[config.steps][0]
+
+    coarsest_cr = raw_bits / total_bits(_SCALE_GRID_MAX)
+    if coarsest_cr < target_cr:
+        raise RateControlError(target_cr, coarsest_cr)
+    lo, hi = 0, _SCALE_GRID_MAX
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if raw_bits / total_bits(mid) >= target_cr:
+            hi = mid
+        else:
+            lo = mid + 1
+    config = _grid_config(lo, pyramid.levels, dead_zone)
+    return config, sizes[config.steps][1]
 
 
 def compress(
@@ -190,60 +292,23 @@ def compress(
     """Compress an image to at least the requested compression ratio.
 
     The search keeps the smallest quantizer scale that reaches the target,
-    so quality is the best the grid offers at that ratio. ``lossless``
-    skips rate control entirely and encodes with unit steps. Raises
-    RateControlError when even the coarsest grid point cannot reach the
-    target.
+    so quality is the best the grid offers at that ratio. Probes are sized
+    from per-plane value tables and the zero mask, so no token array
+    exists until the chosen config is quantized and encoded; there is no
+    separate lossless probe. ``lossless`` skips rate control entirely and
+    encodes with unit steps. Raises RateControlError when even the
+    coarsest grid point cannot reach the target.
     """
     if target_cr < 1.0:
         raise CodecError(f"target compression ratio {target_cr:g} must be >= 1")
-    raw_bits = image.total_bits
     pyramid = dwt_forward(image, levels)
-    plans: dict[tuple[int, ...], tuple] = {}
-
-    def evaluate(k: int):
-        config = QuantizerConfig.from_scale(
-            2.0 ** (k / _SCALE_STEPS_PER_OCTAVE), levels, dead_zone
-        )
-        plan = plans.get(config.steps)
-        if plan is None:
-            plan = (*_sized_encode_plan(image, pyramid, config), config)
-            plans[config.steps] = plan
-        return plan
-
     if lossless:
-        chosen = evaluate(0)
-    else:
-        total_bits = evaluate(0)[0]
-        if raw_bits / total_bits >= target_cr:
-            chosen = evaluate(0)
-        else:
-            coarsest = evaluate(_SCALE_GRID_MAX)
-            if raw_bits / coarsest[0] < target_cr:
-                raise RateControlError(target_cr, raw_bits / coarsest[0])
-            lo, hi = 1, _SCALE_GRID_MAX
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if raw_bits / evaluate(mid)[0] >= target_cr:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            chosen = evaluate(lo)
-    total_bits, tokens, code, payload_bits, config = chosen
-    payload, encoded_bits = huffman_encode(tokens, code)
-    if encoded_bits != payload_bits:
+        return _encode(pyramid, _grid_config(0, levels, dead_zone))
+    config, payload_bits = _rate_search(pyramid, image.total_bits, target_cr, dead_zone)
+    stream = _encode(pyramid, config)
+    if stream.payload_bit_length != payload_bits:
         raise CodecError("size accounting mismatch during encode")
-    return CompressedBitstream(
-        width=image.width,
-        height=image.height,
-        bit_depth=image.bit_depth,
-        levels=config.levels,
-        dead_zone=config.dead_zone,
-        steps=config.steps,
-        code_lengths=code.lengths,
-        payload=payload,
-        payload_bit_length=payload_bits,
-    )
+    return stream
 
 
 def decompress(stream: CompressedBitstream) -> GrayImage:

@@ -135,6 +135,13 @@ def test_ratio_below_one_is_a_usage_error(tmp_path, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cr", ["inf", "1e300"])
+def test_simulate_ratio_too_high_for_any_byte_is_a_usage_error(tmp_path, capsys, cr):
+    assert main(["simulate", "--cr", cr, "--out", str(tmp_path)]) == 2
+    assert f"--cr {float(cr):g}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_profile_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("MEDLINK_PROFILE", "11g")
     assert main(["simulate", "--out", str(tmp_path)]) == 0

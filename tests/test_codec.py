@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,16 @@ from medlink.codec import (
     RateControlError,
     _detokenize,
     _flatten,
+    _frequencies,
+    _ProbeSizer,
     _tokenize,
     _unflatten,
     compress,
     decompress,
 )
-from medlink.dwt import dwt_forward
+from medlink.dwt import DetailBands, SubbandPyramid, dwt_forward, subband_shapes
 from medlink.image_io import GrayImage
+from medlink.quantize import QuantizerConfig, quantize
 from medlink.synth import synth_image
 
 
@@ -178,3 +184,126 @@ def test_scale_grid_is_fine_enough_not_to_overshoot():
         stream = compress(img, target_cr=20.0)
         achieved = img.total_bits / stream.bit_length
         assert 20.0 <= achieved <= 25.0
+
+
+def _random_pyramid(rng, width, height, levels, kind):
+    """Coefficient planes of the given geometry, filled by ``kind``:
+    "zeros", "nonzero" (no coefficient is 0), "runs" (mostly zeros, with
+    whole zero planes so runs cross plane boundaries) or "wide" (values
+    spread over +-2**20, so value tables take the sorting path)."""
+
+    def plane(shape):
+        if kind == "zeros":
+            return np.zeros(shape, dtype=np.int64)
+        if kind == "wide":
+            return rng.integers(-(1 << 20), 1 << 20, size=shape)
+        values = rng.integers(1, 9000, size=shape) * rng.choice([-1, 1], size=shape)
+        if kind == "runs":
+            values[rng.random(shape) < 0.9] = 0
+            if rng.random() < 0.3:
+                values[...] = 0
+        return values
+
+    ll_shape, per_level = subband_shapes(width, height, levels)
+    details = [DetailBands(*(plane(shape) for shape in shapes)) for shapes in per_level]
+    return SubbandPyramid(levels, width, height, 16, plane(ll_shape), details)
+
+
+def test_probe_sizer_frequencies_match_tokenized_stream():
+    rng = np.random.default_rng(53)
+    geometries = [(2, 2, 1), (4, 4, 2), (3, 5, 1), (9, 8, 3), (33, 17, 2), (64, 40, 3)]
+    kinds = ["zeros", "nonzero", "runs", "wide"]
+    for trial in range(96):
+        width, height, levels = geometries[trial % len(geometries)]
+        pyramid = _random_pyramid(rng, width, height, levels, kinds[trial % len(kinds)])
+        sizer = _ProbeSizer(pyramid)
+        for dead_zone in (True, False):
+            for _ in range(3):
+                steps = rng.choice([1, 1, 2, 3, 5, 64, 255, 1000, 4096], size=1 + 3 * levels)
+                config = QuantizerConfig(tuple(steps), dead_zone)
+                expected = _frequencies(_tokenize(_flatten(quantize(pyramid, config))))
+                assert sizer.frequencies(config) == expected
+
+
+def test_probe_sizer_total_bits_match_container():
+    rng = np.random.default_rng(59)
+    for i in range(24):
+        depth = 8 if i % 2 else 16
+        img = _random_image(rng, int(rng.integers(8, 48)), int(rng.integers(8, 48)), depth)
+        levels = int(rng.integers(1, 4))
+        target = float(rng.choice([1, 1.5, 2, 4]))
+        stream = compress(img, target_cr=target, levels=levels, dead_zone=i % 3 != 0)
+        sizer = _ProbeSizer(dwt_forward(img, levels))
+        config = QuantizerConfig(stream.steps, stream.dead_zone)
+        assert sizer.size(config) == (
+            8 * len(stream.to_bytes()),
+            stream.payload_bit_length,
+        )
+
+
+# sha256 over the containers of each image (synth seed 5) at ratios
+# 1, 2, 5, 20 and 40, recorded before rate control sized probes from
+# value tables; CR 1 is decided by the lossless end of the grid
+RATE_CONTROL_SHA256 = {
+    ("blobs", 64, 64, 8): "d79f5494e8ff315ebc98f3aa81386412ffd5f8ddcdd1984f165d78fa4578242b",
+    ("blobs", 64, 64, 16): "36138925039dd996fcb2af6fa3ad8dd60f554edd9c01b3cc94f9bdaab8c619f5",
+    ("blobs", 255, 257, 8): "fc59d9de4675ef4527d3e01b5b0b02170a43e6f7b2795f07e3616937a0553fe5",
+    ("blobs", 255, 257, 16): "6dd6fbf1c6c74c927e027f9cdda4156a21e08381ed63eda01e91eb379cfe0d24",
+    ("mixed", 64, 64, 8): "969b3df164a11d89719fa0107bec0d3776f61c505fa6838f345e854368e2ff24",
+    ("mixed", 64, 64, 16): "c305b49e74bfa8d7bf2e8e0bc88e265eef9a1508c9e3caf1550b31c9967f5e73",
+    ("mixed", 255, 257, 8): "fa017222ef2676af985de878ba252b2bb96509e3c1e7f1816897eea986aea1fe",
+    ("mixed", 255, 257, 16): "e9b491ba34473fb669e577f52a4338565218a17f438bdf8e50322f6c2c10e796",
+    ("ramp", 64, 64, 8): "387713e8168b892f76c3583d389f23dcc0fad42c76c78fd2263529ec308013fd",
+    ("ramp", 64, 64, 16): "deb596892532936d1c90657488aa8e91d74ffe9d3637cbcd790a4e0b6cfc18bc",
+    ("ramp", 255, 257, 8): "5a5d3461d77b991e31818d548439e9b2a37e9859b060fe008942b181b097caa5",
+    ("ramp", 255, 257, 16): "04e582816f5295728dcbbdb53b1af04195f47697cb4288f733534b014ac79efc",
+    ("noise", 64, 64, 8): "5e70e2d9da8486aacaf305c778c2d4c36e6350392aea168474481f32678a87ed",
+    ("noise", 64, 64, 16): "24b49b2393c332fb6c18b082a73afb0f0ed0bd9cf1df5d4bbba8c07267df6112",
+    ("noise", 255, 257, 8): "1ed62b9e5d122375040e4682155cff697cb38976774fb287b2fe7a9fdc6916d5",
+    ("noise", 255, 257, 16): "473b69b2e8c95b4c11f5dbecefb8f86c03ea6f808bc1c68c29007aa82c62641d",
+}
+# mixed 255x257x16 at the same ratios without a dead zone
+NO_DEAD_ZONE_SHA256 = "2736c6c2fbfa0d4a73641d1a7cb9e8d0624fc0b552a10ff77adcfd07c30afde0"
+# lossless containers of blobs 255x257x16 and noise 64x64x8
+LOSSLESS_SHA256 = (
+    "fec9f9aa03a4a0c4955f711b9ed8969b3d2eed9a8427cfda792faa480abecb49",
+    "72ae483394a7d2dd7f60cfda106508eff6d143bc826f1ee80ed4440071cce0b8",
+)
+
+
+def _containers_sha256(kind, width, height, depth, ratios, **options):
+    img = synth_image(kind, width, height, bit_depth=depth, seed=5)
+    sha = hashlib.sha256()
+    for cr in ratios:
+        sha.update(compress(img, target_cr=cr, **options).to_bytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "image", sorted(RATE_CONTROL_SHA256), ids=lambda image: "-".join(map(str, image))
+)
+def test_rate_control_bytes_are_pinned(image):
+    assert _containers_sha256(*image, (1, 2, 5, 20, 40)) == RATE_CONTROL_SHA256[image]
+
+
+def test_rate_control_bytes_are_pinned_without_dead_zone_and_lossless():
+    ratios = (1, 2, 5, 20, 40)
+    assert _containers_sha256("mixed", 255, 257, 16, ratios, dead_zone=False) == (
+        NO_DEAD_ZONE_SHA256
+    )
+    lossless = (
+        _containers_sha256("blobs", 255, 257, 16, (1,), lossless=True),
+        _containers_sha256("noise", 64, 64, 8, (1,), lossless=True),
+    )
+    assert lossless == LOSSLESS_SHA256
+
+
+def test_compress_peak_memory_is_bounded():
+    img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
+    tracemalloc.start()
+    try:
+        compress(img, target_cr=20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * img.pixels.nbytes

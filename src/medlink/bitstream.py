@@ -9,8 +9,8 @@ A compressed image is a self-describing byte stream (conventionally a
     5       4     image width, u32 little-endian
     9       4     image height, u32 little-endian
     13      1     bit depth (8 or 16)
-    14      1     decomposition levels
-    15      1     flags (bit 0: dead-zone quantization)
+    14      1     decomposition levels, 1 <= levels, 2**levels <= min(w, h)
+    15      1     flags, always 1 (dead-zone quantization)
     16      2     quantizer step count, u16 LE (always 1 + 3 * levels)
     18      4*n   quantizer steps, u32 LE each, canonical plane order
     ..      4     code table entry count, u32 LE
@@ -19,6 +19,8 @@ A compressed image is a self-describing byte stream (conventionally a
     ..      var   payload, ceil(bits / 8) bytes, zero padded
 
 Table entries are sorted by symbol, so serialization is deterministic.
+The flags byte is always 1 and a container with any other value is
+rejected.
 The advertised size of a stream counts header bytes plus payload bytes;
 that total is what compression ratios are measured against.
 """
@@ -32,6 +34,7 @@ __all__ = ["BitstreamError", "CompressedBitstream", "MAGIC", "VERSION"]
 
 MAGIC = b"WBC1"
 VERSION = 1
+_FLAGS = 1  # bit 0: dead-zone quantization, the only quantizer
 
 
 class BitstreamError(ValueError):
@@ -89,7 +92,6 @@ class CompressedBitstream:
     height: int
     bit_depth: int
     levels: int
-    dead_zone: bool
     steps: tuple[int, ...]
     code_lengths: dict[int, int]
     payload: bytes = b""
@@ -103,7 +105,6 @@ class CompressedBitstream:
                 self.height,
                 self.bit_depth,
                 self.levels,
-                self.dead_zone,
                 self.steps,
                 self.code_lengths,
                 self.payload_bit_length,
@@ -143,6 +144,12 @@ class CompressedBitstream:
         (step_count,) = struct.unpack_from("<H", data, 16)
         if bit_depth not in (8, 16):
             raise BitstreamError(f"bad bit depth {bit_depth}", 13)
+        if levels < 1 or 2**levels > min(width, height):
+            raise BitstreamError(
+                f"{levels} decomposition levels impossible for {width}x{height}", 14
+            )
+        if flags != _FLAGS:
+            raise BitstreamError(f"unsupported flags {flags}", 15)
         if step_count != 1 + 3 * levels:
             raise BitstreamError(
                 f"step count {step_count} does not match {levels} levels", 16
@@ -182,7 +189,6 @@ class CompressedBitstream:
             height=height,
             bit_depth=bit_depth,
             levels=levels,
-            dead_zone=bool(flags & 1),
             steps=tuple(steps),
             code_lengths=code_lengths,
             payload=data[pos : pos + payload_len],
@@ -195,7 +201,6 @@ def pack_header(
     height: int,
     bit_depth: int,
     levels: int,
-    dead_zone: bool,
     steps: tuple[int, ...],
     code_lengths: dict[int, int],
     payload_bit_length: int,
@@ -210,7 +215,7 @@ def pack_header(
     buf += struct.pack("<II", width, height)
     buf.append(bit_depth)
     buf.append(levels)
-    buf.append(1 if dead_zone else 0)
+    buf.append(_FLAGS)
     buf += struct.pack("<H", len(steps))
     buf += struct.pack(f"<{len(steps)}I", *steps)
     buf += struct.pack("<I", len(code_lengths))

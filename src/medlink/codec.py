@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitstream import CompressedBitstream, pack_header
-from .dwt import DetailBands, SubbandPyramid, dwt_forward, dwt_inverse, subband_shapes
+from .dwt import SubbandPyramid, dwt_forward, dwt_inverse, subband_shapes
 from .huffman import (
     HuffmanCode,
     HuffmanError,
@@ -77,47 +77,34 @@ def _unflatten(
     flat: np.ndarray, width: int, height: int, levels: int, bit_depth: int
 ) -> SubbandPyramid:
     ll_shape, per_level = subband_shapes(width, height, levels)
-    pos = ll_shape[0] * ll_shape[1]
-    ll = flat[:pos].reshape(ll_shape)
-    details = []
-    for hl_shape, lh_shape, hh_shape in per_level:
-        planes = []
-        for shape in (hl_shape, lh_shape, hh_shape):
-            size = shape[0] * shape[1]
-            planes.append(flat[pos : pos + size].reshape(shape))
-            pos += size
-        details.append(DetailBands(hl=planes[0], lh=planes[1], hh=planes[2]))
-    if pos != flat.size:
-        raise DecodeError(f"coefficient count {flat.size}, geometry implies {pos}")
-    return SubbandPyramid(
-        levels=levels,
-        width=width,
-        height=height,
-        bit_depth=bit_depth,
-        ll=ll,
-        details=details,
-    )
+    shapes = [ll_shape, *(shape for bands in per_level for shape in bands)]
+    bounds = np.cumsum([rows * cols for rows, cols in shapes])
+    if bounds[-1] != flat.size:
+        raise DecodeError(f"coefficient count {flat.size}, geometry implies {bounds[-1]}")
+    parts = np.split(flat, bounds[:-1])
+    planes = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    return SubbandPyramid.from_planes(width, height, bit_depth, planes)
+
+
+def _zero_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of every run of True in ``mask``."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[::2], edges[1::2] - edges[::2]
 
 
 def _tokenize(flat: np.ndarray) -> np.ndarray:
     """Coefficient stream -> entropy tokens.
 
-    Equivalent to run-length coding followed by mapping (k, 0) pairs to
-    the two tokens [0, k] and (1, v) pairs to [v], but vectorized.
+    Each zero run becomes the token pair [0, run_length]; a nonzero
+    coefficient is a token by itself.
     """
-    if flat.size == 0:
-        return np.empty(0, dtype=np.int64)
-    boundaries = np.nonzero(flat[1:] != flat[:-1])[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [flat.size]])
-    values = flat[starts]
-    lengths = ends - starts
-    counts = np.where(values == 0, 2, lengths)
-    out = np.repeat(values, counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    zero_runs = values == 0
-    out[offsets[zero_runs] + 1] = lengths[zero_runs]
-    return out
+    zero = flat == 0
+    starts, lengths = _zero_runs(zero)
+    keep = ~zero
+    keep[starts] = True
+    # the run's first zero stays; the zeros dropped before it shift its slot
+    dropped = np.cumsum(lengths - 1) - (lengths - 1)
+    return np.insert(flat[keep], starts - dropped + 1, lengths)
 
 
 def _detokenize(tokens: np.ndarray, expected: int) -> np.ndarray:
@@ -186,22 +173,20 @@ class _ProbeSizer:
     def frequencies(self, config: QuantizerConfig) -> dict[int, int]:
         """Token frequencies, equal to ``_frequencies`` of the tokenized,
         quantized stream."""
-        # one False on each side, so every zero run has a rising and a falling edge
-        zero = np.zeros(self.magnitudes.size + 2, dtype=bool)
+        zero = np.empty(self.magnitudes.size, dtype=bool)
         symbols, weights = [], []
         for (values, counts), step, lo, hi in zip(
             self.tables, config.steps, self.bounds, self.bounds[1:]
         ):
-            indices = _quantize_plane(values, step, config.dead_zone)
+            indices = _quantize_plane(values, step)
             nonzero = indices != 0
             symbols.append(indices[nonzero])
             weights.append(counts[nonzero])
             # the quantizer is monotone in |c|, so the plane's zeros are
             # exactly the magnitudes below its smallest nonzero-mapped one
             threshold = np.abs(values[nonzero]).min(initial=np.iinfo(np.int64).max)
-            np.less(self.magnitudes[lo:hi], threshold, out=zero[lo + 1 : hi + 1])
-        edges = np.flatnonzero(zero[1:] != zero[:-1])
-        run_lengths = edges[1::2] - edges[::2]
+            np.less(self.magnitudes[lo:hi], threshold, out=zero[lo:hi])
+        _, run_lengths = _zero_runs(zero)
         symbols.append(run_lengths)
         weights.append(np.ones(run_lengths.size, dtype=np.int64))
         freqs = _frequencies(np.concatenate(symbols), np.concatenate(weights))
@@ -220,7 +205,6 @@ class _ProbeSizer:
             pyramid.height,
             pyramid.bit_depth,
             config.levels,
-            config.dead_zone,
             config.steps,
             code.lengths,
             payload_bits,
@@ -237,7 +221,6 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitst
         height=pyramid.height,
         bit_depth=pyramid.bit_depth,
         levels=config.levels,
-        dead_zone=config.dead_zone,
         steps=config.steps,
         code_lengths=code.lengths,
         payload=payload,
@@ -245,13 +228,13 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitst
     )
 
 
-def _grid_config(k: int, levels: int, dead_zone: bool) -> QuantizerConfig:
+def _grid_config(k: int, levels: int) -> QuantizerConfig:
     scale = 2.0 ** (k / _SCALE_STEPS_PER_OCTAVE)
-    return QuantizerConfig.from_scale(scale, levels, dead_zone)
+    return QuantizerConfig.from_scale(scale, levels)
 
 
 def _rate_search(
-    pyramid: SubbandPyramid, raw_bits: int, target_cr: float, dead_zone: bool
+    pyramid: SubbandPyramid, raw_bits: int, target_cr: float
 ) -> tuple[QuantizerConfig, int]:
     """The smallest grid point whose container reaches ``target_cr``.
 
@@ -263,7 +246,7 @@ def _rate_search(
     sizes: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def total_bits(k: int) -> int:
-        config = _grid_config(k, pyramid.levels, dead_zone)
+        config = _grid_config(k, pyramid.levels)
         if config.steps not in sizes:
             sizes[config.steps] = sizer.size(config)
         return sizes[config.steps][0]
@@ -278,7 +261,7 @@ def _rate_search(
             hi = mid
         else:
             lo = mid + 1
-    config = _grid_config(lo, pyramid.levels, dead_zone)
+    config = _grid_config(lo, pyramid.levels)
     return config, sizes[config.steps][1]
 
 
@@ -286,7 +269,6 @@ def compress(
     image: GrayImage,
     target_cr: float = DEFAULT_TARGET_CR,
     levels: int = DEFAULT_LEVELS,
-    dead_zone: bool = True,
     lossless: bool = False,
 ) -> CompressedBitstream:
     """Compress an image to at least the requested compression ratio.
@@ -303,8 +285,8 @@ def compress(
         raise CodecError(f"target compression ratio {target_cr:g} must be >= 1")
     pyramid = dwt_forward(image, levels)
     if lossless:
-        return _encode(pyramid, _grid_config(0, levels, dead_zone))
-    config, payload_bits = _rate_search(pyramid, image.total_bits, target_cr, dead_zone)
+        return _encode(pyramid, _grid_config(0, levels))
+    config, payload_bits = _rate_search(pyramid, image.total_bits, target_cr)
     stream = _encode(pyramid, config)
     if stream.payload_bit_length != payload_bits:
         raise CodecError("size accounting mismatch during encode")
@@ -329,7 +311,7 @@ def decompress(stream: CompressedBitstream) -> GrayImage:
     pyramid = _unflatten(
         flat, stream.width, stream.height, stream.levels, stream.bit_depth
     )
-    config = QuantizerConfig(steps=stream.steps, dead_zone=stream.dead_zone)
+    config = QuantizerConfig(steps=stream.steps)
     try:
         return dwt_inverse(dequantize(pyramid, config))
     except ValueError as exc:

@@ -65,6 +65,14 @@ class SubbandPyramid:
     def plane_arrays(self) -> list[np.ndarray]:
         return [arr for _, arr in self.planes()]
 
+    @classmethod
+    def from_planes(
+        cls, width: int, height: int, bit_depth: int, planes: list[np.ndarray]
+    ) -> "SubbandPyramid":
+        """Build a pyramid from its planes in canonical stream order."""
+        details = [DetailBands(*planes[i : i + 3]) for i in range(1, len(planes), 3)]
+        return cls(len(details), width, height, bit_depth, planes[0], details)
+
     def coefficient_count(self) -> int:
         return sum(arr.size for arr in self.plane_arrays())
 
@@ -164,15 +172,10 @@ def dwt_forward(image: GrayImage, levels: int) -> SubbandPyramid:
         low, high = _analyze(cur)  # rows: split columns into left/right
         ll, lh = (b.T for b in _analyze(low.T))  # columns of the left half
         hl, hh = (b.T for b in _analyze(high.T))
-        details.append(DetailBands(hl=hl, lh=lh, hh=hh))
+        details += [hl, lh, hh]
         cur = ll
-    return SubbandPyramid(
-        levels=levels,
-        width=image.width,
-        height=image.height,
-        bit_depth=image.bit_depth,
-        ll=cur,
-        details=details,
+    return SubbandPyramid.from_planes(
+        image.width, image.height, image.bit_depth, [cur, *details]
     )
 
 

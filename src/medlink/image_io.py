@@ -153,6 +153,9 @@ def load_pgm(data: bytes) -> GrayImage:
         samples = np.frombuffer(data, dtype=dtype, count=count, offset=start)
         pixels = samples.reshape(height, width)
     else:
+        # every sample but the last needs a digit and a separator
+        if count > (len(data) - scan.pos + 1) // 2:
+            raise PgmError(f"truncated raster, expected {count} samples", len(data))
         samples = np.empty(count, dtype=np.uint32)
         for i in range(count):
             at = scan.pos

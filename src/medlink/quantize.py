@@ -2,8 +2,9 @@
 
 Each plane of a pyramid gets its own integer step. A step of 1 is the
 identity, so an all-ones configuration makes the codec lossless. The
-default mode uses a dead zone: indices are sign(c) * floor(|c| / step),
+quantizer has a dead zone: indices are sign(c) * floor(|c| / step),
 which widens the bin around zero and favors long zero runs downstream.
+Reconstruction is index * step.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dwt import DetailBands, SubbandPyramid
+from .dwt import SubbandPyramid
 
 __all__ = ["QuantizerConfig", "quantize", "dequantize", "synthesis_gains"]
 
@@ -43,7 +44,6 @@ class QuantizerConfig:
     """Steps for every plane (canonical order: ll, then hl/lh/hh per level)."""
 
     steps: tuple[int, ...]
-    dead_zone: bool = True
 
     def __post_init__(self):
         if not self.steps:
@@ -63,15 +63,15 @@ class QuantizerConfig:
         return all(s == 1 for s in self.steps)
 
     @classmethod
-    def lossless(cls, levels: int, dead_zone: bool = True) -> "QuantizerConfig":
-        return cls(steps=(1,) * (1 + 3 * levels), dead_zone=dead_zone)
+    def lossless(cls, levels: int) -> "QuantizerConfig":
+        return cls(steps=(1,) * (1 + 3 * levels))
 
     @classmethod
-    def uniform(cls, step: int, levels: int, dead_zone: bool = True) -> "QuantizerConfig":
-        return cls(steps=(step,) * (1 + 3 * levels), dead_zone=dead_zone)
+    def uniform(cls, step: int, levels: int) -> "QuantizerConfig":
+        return cls(steps=(step,) * (1 + 3 * levels))
 
     @classmethod
-    def from_scale(cls, scale: float, levels: int, dead_zone: bool = True) -> "QuantizerConfig":
+    def from_scale(cls, scale: float, levels: int) -> "QuantizerConfig":
         """Derive per-plane steps from one global scale.
 
         step = max(1, round(scale / gain)), so scale 1.0 is lossless and the
@@ -82,17 +82,14 @@ class QuantizerConfig:
         steps = tuple(
             max(1, int(scale / gain + 0.5)) for gain in synthesis_gains(levels)
         )
-        return cls(steps=steps, dead_zone=dead_zone)
+        return cls(steps=steps)
 
 
-def _quantize_plane(plane: np.ndarray, step: int, dead_zone: bool) -> np.ndarray:
+def _quantize_plane(plane: np.ndarray, step: int) -> np.ndarray:
     c = plane.astype(np.int64)
     if step == 1:
         return c
-    mag = np.abs(c)
-    if not dead_zone:
-        mag = mag + step // 2
-    return np.sign(c) * (mag // step)
+    return np.sign(c) * (np.abs(c) // step)
 
 
 def quantize(pyramid: SubbandPyramid, config: QuantizerConfig) -> SubbandPyramid:
@@ -102,7 +99,7 @@ def quantize(pyramid: SubbandPyramid, config: QuantizerConfig) -> SubbandPyramid
 
 def dequantize(pyramid: SubbandPyramid, config: QuantizerConfig) -> SubbandPyramid:
     """Reconstruct coefficients from indices (index * step)."""
-    return _map_planes(pyramid, config, lambda p, step, _dz: p.astype(np.int64) * step)
+    return _map_planes(pyramid, config, lambda p, step: p.astype(np.int64) * step)
 
 
 def _map_planes(pyramid: SubbandPyramid, config: QuantizerConfig, op) -> SubbandPyramid:
@@ -110,19 +107,7 @@ def _map_planes(pyramid: SubbandPyramid, config: QuantizerConfig, op) -> Subband
         raise ValueError(
             f"quantizer has {config.levels} levels, pyramid has {pyramid.levels}"
         )
-    steps = iter(config.steps)
-    ll = op(pyramid.ll, next(steps), config.dead_zone)
-    details = []
-    for bands in pyramid.details:
-        hl = op(bands.hl, next(steps), config.dead_zone)
-        lh = op(bands.lh, next(steps), config.dead_zone)
-        hh = op(bands.hh, next(steps), config.dead_zone)
-        details.append(DetailBands(hl=hl, lh=lh, hh=hh))
-    return SubbandPyramid(
-        levels=pyramid.levels,
-        width=pyramid.width,
-        height=pyramid.height,
-        bit_depth=pyramid.bit_depth,
-        ll=ll,
-        details=details,
+    planes = [op(plane, step) for plane, step in zip(pyramid.plane_arrays(), config.steps)]
+    return SubbandPyramid.from_planes(
+        pyramid.width, pyramid.height, pyramid.bit_depth, planes
     )

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from medlink.bitstream import (
@@ -17,7 +19,6 @@ def _sample_stream(payload=b"\xa5\x80", payload_bits=10):
         height=8,
         bit_depth=16,
         levels=2,
-        dead_zone=True,
         steps=(1, 2, 2, 3, 5, 5, 9),
         code_lengths={-3: 3, 0: 1, 2: 2, 700: 3},
         payload=payload,
@@ -74,6 +75,41 @@ def test_step_count_must_match_levels():
     data[14] = 3  # levels field no longer matches the step table
     with pytest.raises(BitstreamError, match="step count"):
         CompressedBitstream.from_bytes(bytes(data))
+
+
+def _with_levels(data: bytes, levels: int) -> bytes:
+    """The container with its level count and a unit step table for it."""
+    count = 1 + 3 * levels
+    steps = struct.pack("<H", count) + struct.pack("<I", 1) * count
+    rest = data[18 + 4 * (1 + 3 * data[14]) :]
+    return data[:14] + bytes([levels]) + data[15:16] + steps + rest
+
+
+@pytest.mark.parametrize("levels", [0, 4, 40])
+def test_impossible_level_count_rejected(levels):
+    data = _sample_stream().to_bytes()  # 16x8, so at most 3 levels
+    assert CompressedBitstream.from_bytes(_with_levels(data, 3)).levels == 3
+    with pytest.raises(BitstreamError, match="levels impossible") as err:
+        CompressedBitstream.from_bytes(_with_levels(data, levels))
+    assert err.value.offset == 14
+
+
+def test_zero_width_rejected_at_level_count():
+    data = bytearray(_sample_stream().to_bytes())
+    data[5:9] = bytes(4)
+    with pytest.raises(BitstreamError, match="levels impossible") as err:
+        CompressedBitstream.from_bytes(bytes(data))
+    assert err.value.offset == 14
+
+
+@pytest.mark.parametrize("flags", [0, 2, 255])
+def test_flags_other_than_dead_zone_rejected(flags):
+    data = bytearray(_sample_stream().to_bytes())
+    assert data[15] == 1
+    data[15] = flags
+    with pytest.raises(BitstreamError, match="flags") as err:
+        CompressedBitstream.from_bytes(bytes(data))
+    assert err.value.offset == 15
 
 
 @pytest.mark.parametrize("index", [0, 6])

@@ -223,6 +223,19 @@ def test_zero_quantizer_step_is_a_codec_error(tmp_path):
     assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
 
 
+def test_impossible_level_count_is_a_codec_error(tmp_path):
+    assert main(["compress", "--input", SPEC_SMALL, "--out", str(tmp_path)]) == 0
+    data = bytearray((tmp_path / f"{NAME_SMALL}.wbc").read_bytes())
+    # 7 levels with a matching step table of 22 entries; 2**7 > 64
+    steps_end = 18 + 4 * (1 + 3 * data[14])
+    data[steps_end:steps_end] = struct.pack("<I", 1) * (3 * (7 - data[14]))
+    data[14] = 7
+    struct.pack_into("<H", data, 16, 1 + 3 * 7)
+    bad = tmp_path / "deep.wbc"
+    bad.write_bytes(bytes(data))
+    assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
+
+
 def test_unreachable_ratio_is_a_codec_error(tmp_path):
     rc = main([
         "compress", "--input", "synth:noise:64x64x8:seed=0", "--cr", "500",

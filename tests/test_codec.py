@@ -48,21 +48,40 @@ def _tokens_via_pairs(flat):
     return tokens
 
 
+# empty, [0], [5], all zeros, no zeros, zeros at both ends, a long run
+# followed by one nonzero
+EDGE_STREAMS = [
+    [],
+    [0],
+    [5],
+    [0] * 9,
+    [3, -1, 8, 2000],
+    [0, 0, 4, 0, -2, 0, 0, 0],
+    [0] * 300 + [-7],
+]
+
+
 def test_tokenizer_matches_pair_based_oracle():
     rng = np.random.default_rng(31)
-    for _ in range(50):
-        n = int(rng.integers(0, 500))
-        flat = rng.choice([0, 0, 0, 1, -1, 4, -9, 2000], size=n).astype(np.int64)
+    draws = (
+        rng.choice([0, 0, 0, 1, -1, 4, -9, 2000], size=int(rng.integers(0, 500)))
+        for _ in range(50)
+    )
+    for flat in [*EDGE_STREAMS, *draws]:
+        flat = np.asarray(flat, dtype=np.int64)
         assert _tokenize(flat).tolist() == _tokens_via_pairs(flat)
 
 
 def test_detokenize_inverts_tokenize():
     rng = np.random.default_rng(37)
-    for _ in range(50):
-        n = int(rng.integers(1, 500))
-        flat = rng.choice([0, 0, 0, 0, 0, 2, -2, 70], size=n).astype(np.int64)
+    draws = (
+        rng.choice([0, 0, 0, 0, 0, 2, -2, 70], size=int(rng.integers(1, 500)))
+        for _ in range(50)
+    )
+    for flat in [*EDGE_STREAMS, *draws]:
+        flat = np.asarray(flat, dtype=np.int64)
         tokens = _tokenize(flat)
-        assert np.array_equal(_detokenize(tokens, n), flat)
+        assert np.array_equal(_detokenize(tokens, flat.size), flat)
 
 
 def test_detokenize_rejects_corrupt_streams():
@@ -152,7 +171,6 @@ def test_decompress_of_truncated_payload_is_an_error():
         height=stream.height,
         bit_depth=stream.bit_depth,
         levels=stream.levels,
-        dead_zone=stream.dead_zone,
         steps=stream.steps,
         code_lengths=stream.code_lengths,
         payload=stream.payload[: len(stream.payload) // 2],
@@ -168,7 +186,7 @@ def test_stream_records_quantizer_and_geometry():
     assert (stream.width, stream.height) == (96, 64)
     assert stream.levels == 2
     assert len(stream.steps) == 1 + 3 * 2
-    assert stream.dead_zone is True
+    assert stream.to_bytes()[15] == 1  # flags: dead-zone quantization
 
 
 def test_invalid_target_rejected():
@@ -217,12 +235,11 @@ def test_probe_sizer_frequencies_match_tokenized_stream():
         width, height, levels = geometries[trial % len(geometries)]
         pyramid = _random_pyramid(rng, width, height, levels, kinds[trial % len(kinds)])
         sizer = _ProbeSizer(pyramid)
-        for dead_zone in (True, False):
-            for _ in range(3):
-                steps = rng.choice([1, 1, 2, 3, 5, 64, 255, 1000, 4096], size=1 + 3 * levels)
-                config = QuantizerConfig(tuple(steps), dead_zone)
-                expected = _frequencies(_tokenize(_flatten(quantize(pyramid, config))))
-                assert sizer.frequencies(config) == expected
+        for _ in range(6):
+            steps = rng.choice([1, 1, 2, 3, 5, 64, 255, 1000, 4096], size=1 + 3 * levels)
+            config = QuantizerConfig(tuple(steps))
+            expected = _frequencies(_tokenize(_flatten(quantize(pyramid, config))))
+            assert sizer.frequencies(config) == expected
 
 
 def test_probe_sizer_total_bits_match_container():
@@ -232,9 +249,9 @@ def test_probe_sizer_total_bits_match_container():
         img = _random_image(rng, int(rng.integers(8, 48)), int(rng.integers(8, 48)), depth)
         levels = int(rng.integers(1, 4))
         target = float(rng.choice([1, 1.5, 2, 4]))
-        stream = compress(img, target_cr=target, levels=levels, dead_zone=i % 3 != 0)
+        stream = compress(img, target_cr=target, levels=levels)
         sizer = _ProbeSizer(dwt_forward(img, levels))
-        config = QuantizerConfig(stream.steps, stream.dead_zone)
+        config = QuantizerConfig(stream.steps)
         assert sizer.size(config) == (
             8 * len(stream.to_bytes()),
             stream.payload_bit_length,
@@ -262,8 +279,6 @@ RATE_CONTROL_SHA256 = {
     ("noise", 255, 257, 8): "1ed62b9e5d122375040e4682155cff697cb38976774fb287b2fe7a9fdc6916d5",
     ("noise", 255, 257, 16): "473b69b2e8c95b4c11f5dbecefb8f86c03ea6f808bc1c68c29007aa82c62641d",
 }
-# mixed 255x257x16 at the same ratios without a dead zone
-NO_DEAD_ZONE_SHA256 = "2736c6c2fbfa0d4a73641d1a7cb9e8d0624fc0b552a10ff77adcfd07c30afde0"
 # lossless containers of blobs 255x257x16 and noise 64x64x8
 LOSSLESS_SHA256 = (
     "fec9f9aa03a4a0c4955f711b9ed8969b3d2eed9a8427cfda792faa480abecb49",
@@ -286,11 +301,7 @@ def test_rate_control_bytes_are_pinned(image):
     assert _containers_sha256(*image, (1, 2, 5, 20, 40)) == RATE_CONTROL_SHA256[image]
 
 
-def test_rate_control_bytes_are_pinned_without_dead_zone_and_lossless():
-    ratios = (1, 2, 5, 20, 40)
-    assert _containers_sha256("mixed", 255, 257, 16, ratios, dead_zone=False) == (
-        NO_DEAD_ZONE_SHA256
-    )
+def test_lossless_bytes_are_pinned():
     lossless = (
         _containers_sha256("blobs", 255, 257, 16, (1,), lossless=True),
         _containers_sha256("noise", 64, 64, 8, (1,), lossless=True),

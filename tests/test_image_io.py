@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ def test_truncated_raster_reports_offset():
     with pytest.raises(PgmError, match="truncated") as err:
         load_pgm(data)
     assert err.value.offset == len(data)
+
+
+def test_huge_ascii_header_fails_before_allocating():
+    data = b"P2 60000 60000 255\n1 2"  # 13.4 GiB of uint32 samples if allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(PgmError, match="truncated"):
+            load_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ascii_sample_above_maxval_rejected():

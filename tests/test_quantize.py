@@ -48,15 +48,6 @@ def test_everything_below_step_becomes_zero():
         assert not plane.any()
 
 
-def test_round_half_mode_differs_from_dead_zone():
-    pyr = _pyramid(w=8, h=8, levels=1)
-    pyr.ll[0, 0] = 7
-    dead = quantize(pyr, QuantizerConfig.uniform(4, 1, dead_zone=True))
-    mid = quantize(pyr, QuantizerConfig.uniform(4, 1, dead_zone=False))
-    assert dead.ll[0, 0] == 1
-    assert mid.ll[0, 0] == 2  # rounds 7/4 to nearest
-
-
 def test_quantize_dequantize_error_bounded_by_step():
     pyr = _pyramid(seed=7, levels=2)
     config = QuantizerConfig.uniform(6, 2)

@@ -14,7 +14,8 @@ A compressed image is a self-describing byte stream (conventionally a
     16      2     quantizer step count, u16 LE (always 1 + 3 * levels)
     18      4*n   quantizer steps, u32 LE each, canonical plane order
     ..      4     code table entry count, u32 LE
-    ..      var   entries: zigzag varint symbol, then u8 code length
+    ..      var   entries: zigzag varint symbol, then u8 code length,
+                  1 <= length <= huffman.MAX_CODE_LENGTH (57)
     ..      8     payload bit length, u64 LE
     ..      var   payload, ceil(bits / 8) bytes, zero padded
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+
+from .huffman import MAX_CODE_LENGTH
 
 __all__ = ["BitstreamError", "CompressedBitstream", "MAGIC", "VERSION"]
 
@@ -166,6 +169,10 @@ class CompressedBitstream:
         if len(data) < pos + 4:
             raise BitstreamError("truncated code table", len(data))
         (entry_count,) = struct.unpack_from("<I", data, pos)
+        if 2 * entry_count > len(data) - pos - 4:
+            raise BitstreamError(
+                f"code table entry count {entry_count} exceeds the bytes left", pos
+            )
         pos += 4
         code_lengths: dict[int, int] = {}
         for _ in range(entry_count):
@@ -173,6 +180,8 @@ class CompressedBitstream:
             if pos >= len(data):
                 raise BitstreamError("truncated code table entry", len(data))
             length = data[pos]
+            if not 1 <= length <= MAX_CODE_LENGTH:
+                raise BitstreamError(f"code length {length} out of range", pos)
             pos += 1
             code_lengths[_unzigzag(raw)] = length
         if len(data) < pos + 8:
@@ -222,7 +231,7 @@ def pack_header(
     for sym in sorted(code_lengths):
         _write_uvarint(buf, _zigzag(sym))
         length = code_lengths[sym]
-        if not 1 <= length <= 255:
+        if not 1 <= length <= MAX_CODE_LENGTH:
             raise BitstreamError(f"code length {length} out of range")
         buf.append(length)
     buf += struct.pack("<Q", payload_bit_length)

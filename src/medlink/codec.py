@@ -302,17 +302,19 @@ def decompress(stream: CompressedBitstream) -> GrayImage:
     """
     try:
         code = HuffmanCode(stream.code_lengths)
-        symbols = huffman_decode(stream.payload, stream.payload_bit_length, code)
+        tokens = huffman_decode(stream.payload, stream.payload_bit_length, code)
     except HuffmanError as exc:
         raise DecodeError(f"payload does not decode: {exc}") from exc
-    tokens = np.asarray(symbols, dtype=np.int64)
-    expected = stream.width * stream.height
-    flat = _detokenize(tokens, expected)
+    flat = _detokenize(tokens, stream.width * stream.height)
+    del tokens
     pyramid = _unflatten(
         flat, stream.width, stream.height, stream.levels, stream.bit_depth
     )
+    del flat  # the pyramid's planes are views of it
     config = QuantizerConfig(steps=stream.steps)
     try:
-        return dwt_inverse(dequantize(pyramid, config))
+        coefficients = dequantize(pyramid, config)
+        del pyramid  # frees the decoded stream before the inverse transform
+        return dwt_inverse(coefficients)
     except ValueError as exc:
         raise DecodeError(f"inconsistent subband geometry: {exc}") from exc

@@ -54,16 +54,12 @@ class SubbandPyramid:
     ll: np.ndarray
     details: list[DetailBands] = field(default_factory=list)
 
-    def planes(self):
-        """Yield (name, array) pairs in canonical stream order."""
-        yield "ll", self.ll
-        for level, bands in enumerate(self.details, start=1):
-            yield f"hl{level}", bands.hl
-            yield f"lh{level}", bands.lh
-            yield f"hh{level}", bands.hh
-
     def plane_arrays(self) -> list[np.ndarray]:
-        return [arr for _, arr in self.planes()]
+        """The planes in canonical stream order."""
+        planes = [self.ll]
+        for bands in self.details:
+            planes += [bands.hl, bands.lh, bands.hh]
+        return planes
 
     @classmethod
     def from_planes(
@@ -72,9 +68,6 @@ class SubbandPyramid:
         """Build a pyramid from its planes in canonical stream order."""
         details = [DetailBands(*planes[i : i + 3]) for i in range(1, len(planes), 3)]
         return cls(len(details), width, height, bit_depth, planes[0], details)
-
-    def coefficient_count(self) -> int:
-        return sum(arr.size for arr in self.plane_arrays())
 
     def validate(self):
         """Check the subband tiling against the declared geometry."""

@@ -5,15 +5,35 @@ then reassigned canonically, in (length, symbol) order, so a code is fully
 described by its symbol-to-length table. That is what the bitstream
 container stores. A single-symbol alphabet gets a 1-bit code by
 convention, so every encoded stream has positive length.
+
+Decoding needs no codeword table (Moffat and Turpin, "On the
+implementation of minimum redundancy prefix codes", IEEE Trans. Commun.
+45(10), 1997). Read as an L-bit number, L the longest code length, the
+window at a codeword's start lies below the left-justified limit
+``(first code + count) << (L - length)`` of its own length and of no
+shorter one, so ``np.searchsorted`` over the L limits gives the length
+of the codeword starting at every bit position. The payload is handled
+in chunks of ``_CHUNK_BITS`` positions to bound the temporaries. One
+Python step per symbol then walks the starts, each length pointing to
+the next, and the symbols follow from the windows at the starts
+alone: index ``base + code - first`` in (length, symbol) order.
+
+Code lengths are capped at ``MAX_CODE_LENGTH`` = 57 bits, the widest
+window an 8-byte word holds after a shift of up to 7 bits. No encoder
+output is lost to the cap: a Huffman codeword of length d needs a total
+frequency of at least the Fibonacci number F(d + 2), so a 58-bit
+codeword needs F(60), about 1.5e12 tokens.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 
 import numpy as np
 
 __all__ = [
+    "MAX_CODE_LENGTH",
     "HuffmanCode",
     "HuffmanError",
     "HuffmanDecodeError",
@@ -21,6 +41,12 @@ __all__ = [
     "huffman_encode",
     "huffman_decode",
 ]
+
+# the widest window an 8-byte word holds after a shift of up to 7 bits
+MAX_CODE_LENGTH = 57
+# bit positions whose codeword lengths one numpy pass computes
+_CHUNK_BITS = 1 << 16
+_BYTE_SHIFTS = np.arange(8, dtype=np.uint64)
 
 
 class HuffmanError(ValueError):
@@ -42,7 +68,7 @@ class HuffmanCode:
         if not lengths:
             raise HuffmanError("empty code table")
         for sym, length in lengths.items():
-            if length < 1:
+            if not 1 <= length <= MAX_CODE_LENGTH:
                 raise HuffmanError(f"code length {length} for symbol {sym}")
         kraft = sum(2.0 ** -length for length in lengths.values())
         if kraft > 1.0 + 1e-9:
@@ -61,9 +87,6 @@ class HuffmanCode:
             prev = length
         self._bitstrings = {
             sym: format(c, f"0{self.lengths[sym]}b") for sym, c in self.codes.items()
-        }
-        self._decode_table = {
-            (self.lengths[sym], c): sym for sym, c in self.codes.items()
         }
 
     def __len__(self) -> int:
@@ -134,35 +157,84 @@ def huffman_encode(symbols, code: HuffmanCode) -> tuple[bytes, int]:
     return np.packbits(arr).tobytes(), len(bits)
 
 
-def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> list[int]:
-    """Decode ``bit_length`` bits of payload back into symbols.
+def _canonical_tables(code: HuffmanCode):
+    """Per-length tables of a canonical code, for lengths 1..L.
+
+    Returns the left-justified exclusive limit of each length as an L-bit
+    number, and, indexed by length, the first code and the index of the
+    first symbol in (length, symbol) order; then the symbols in that order.
+    """
+    longest = code.max_length
+    counts = [0] * (longest + 1)
+    for length in code.lengths.values():
+        counts[length] += 1
+    limits, first, base = [], [0], [0]
+    next_code = index = 0
+    for length in range(1, longest + 1):
+        first.append(next_code)
+        base.append(index)
+        next_code += counts[length]
+        index += counts[length]
+        limits.append(next_code << (longest - length))
+        next_code <<= 1
+    ordered = sorted(code.lengths, key=lambda sym: (code.lengths[sym], sym))
+    return (
+        np.array(limits, dtype=np.uint64),
+        np.array(first, dtype=np.uint64),
+        np.array(base, dtype=np.uint64),
+        np.array(ordered, dtype=np.int64),
+    )
+
+
+def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarray:
+    """Decode ``bit_length`` bits of payload back into an int64 symbol array.
 
     Raises HuffmanDecodeError (with the bit offset of the offending
-    codeword) when the bits do not parse, including a truncated trailing
-    codeword.
+    codeword) when the bits do not parse: "no codeword matches" when more
+    than the longest code length of bits remain at that offset, otherwise
+    "truncated codeword", also when the last codeword runs past
+    ``bit_length``.
     """
     if bit_length < 0 or bit_length > len(data) * 8:
         raise HuffmanDecodeError("bit length exceeds payload", len(data) * 8)
     if bit_length == 0:
-        return []
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=bit_length)
-    table = code._decode_table
-    max_length = code.max_length
-    out: list[int] = []
-    acc = 0
-    length = 0
-    start = 0
-    for pos, b in enumerate(bits.tolist()):
-        acc = (acc << 1) | b
-        length += 1
-        sym = table.get((length, acc))
-        if sym is not None:
-            out.append(sym)
-            acc = 0
-            length = 0
-            start = pos + 1
-        elif length > max_length:
-            raise HuffmanDecodeError("no codeword matches", start)
-    if length:
-        raise HuffmanDecodeError("truncated codeword", start)
-    return out
+        return np.empty(0, dtype=np.int64)
+    longest = code.max_length
+    limits, first, base, ordered = _canonical_tables(code)
+    # the big-endian 8-byte word at every byte offset, over zero padding
+    padded = bytes(data) + bytes(8)
+    words = np.ndarray((len(data) + 1,), dtype=">u8", buffer=padded, strides=(1,))
+    # searchsorted index i < longest: the window starts a codeword of i + 1
+    # bits; i == longest: it starts none
+    length_at = np.append(np.arange(1, longest + 1), 0).astype(np.uint8)
+    lengths = bytearray(bit_length)
+    lengths_view = np.frombuffer(lengths, dtype=np.uint8)
+    for lo in range(0, bit_length, _CHUNK_BITS):
+        hi = min(lo + _CHUNK_BITS, bit_length)
+        chunk = words[lo >> 3 : (hi + 7) >> 3, None]
+        windows = ((chunk << _BYTE_SHIFTS) >> np.uint64(64 - longest)).ravel()
+        found = np.searchsorted(limits, windows[: hi - lo], "right")
+        lengths_view[lo:hi] = length_at[found]
+    starts = array("q")
+    append = starts.append
+    pos = 0
+    while pos < bit_length:
+        step = lengths[pos]
+        if not step:
+            break
+        append(pos)
+        pos += step
+    if pos < bit_length:
+        dead = bit_length - pos > longest
+        raise HuffmanDecodeError(
+            "no codeword matches" if dead else "truncated codeword", pos
+        )
+    if pos > bit_length:
+        raise HuffmanDecodeError("truncated codeword", starts[-1])
+    at = np.frombuffer(starts, dtype=np.uint64)
+    width = lengths_view[at]
+    codes = np.left_shift(words[at >> 3], at & 7)
+    codes >>= np.uint64(64) - width
+    codes -= first[width]
+    codes += base[width]
+    return ordered[codes]

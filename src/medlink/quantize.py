@@ -58,18 +58,6 @@ class QuantizerConfig:
     def levels(self) -> int:
         return (len(self.steps) - 1) // 3
 
-    @property
-    def is_lossless(self) -> bool:
-        return all(s == 1 for s in self.steps)
-
-    @classmethod
-    def lossless(cls, levels: int) -> "QuantizerConfig":
-        return cls(steps=(1,) * (1 + 3 * levels))
-
-    @classmethod
-    def uniform(cls, step: int, levels: int) -> "QuantizerConfig":
-        return cls(steps=(step,) * (1 + 3 * levels))
-
     @classmethod
     def from_scale(cls, scale: float, levels: int) -> "QuantizerConfig":
         """Derive per-plane steps from one global scale.

@@ -11,6 +11,7 @@ from medlink.bitstream import (
     _write_uvarint,
     _zigzag,
 )
+from medlink.huffman import MAX_CODE_LENGTH
 
 
 def _sample_stream(payload=b"\xa5\x80", payload_bits=10):
@@ -141,3 +142,40 @@ def test_uvarint_round_trip(value):
 def test_zigzag_round_trip(value):
     assert _unzigzag(_zigzag(value)) == value
     assert _zigzag(value) >= 0
+
+
+# the sample table's entries start at byte 50: symbol -3 takes one varint
+# byte, so its length byte is 51, and the last one, 700, is at 58
+@pytest.mark.parametrize("offset", [51, 58])
+@pytest.mark.parametrize("length", [0, MAX_CODE_LENGTH + 1, 255])
+def test_code_length_beyond_cap_rejected_at_its_byte(offset, length):
+    data = bytearray(_sample_stream().to_bytes())
+    data[offset] = MAX_CODE_LENGTH
+    lengths = CompressedBitstream.from_bytes(bytes(data)).code_lengths
+    assert MAX_CODE_LENGTH in lengths.values()
+    data[offset] = length
+    with pytest.raises(BitstreamError, match=f"code length {length}") as err:
+        CompressedBitstream.from_bytes(bytes(data))
+    assert err.value.offset == offset
+
+
+def test_code_length_beyond_cap_rejected_on_write():
+    stream = _sample_stream()
+    stream.code_lengths = {**stream.code_lengths, 700: MAX_CODE_LENGTH + 1}
+    with pytest.raises(BitstreamError, match="code length"):
+        stream.to_bytes()
+
+
+@pytest.mark.parametrize("count", [10, 2**32 - 1])
+def test_entry_count_beyond_remaining_bytes_rejected(count):
+    # 19 bytes follow the count: 9 of entries, 8 of bit length, 2 of payload
+    data = bytearray(_sample_stream().to_bytes())
+    assert struct.unpack_from("<I", data, 46) == (4,)
+    struct.pack_into("<I", data, 46, 9)
+    with pytest.raises(BitstreamError) as err:
+        CompressedBitstream.from_bytes(bytes(data))
+    assert "entry count" not in str(err.value)
+    struct.pack_into("<I", data, 46, count)
+    with pytest.raises(BitstreamError, match="entry count") as err:
+        CompressedBitstream.from_bytes(bytes(data))
+    assert err.value.offset == 46

@@ -236,6 +236,20 @@ def test_impossible_level_count_is_a_codec_error(tmp_path):
     assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
 
 
+def test_code_length_beyond_cap_is_a_codec_error(tmp_path, capsys):
+    assert main(["compress", "--input", SPEC_SMALL, "--out", str(tmp_path)]) == 0
+    data = bytearray((tmp_path / f"{NAME_SMALL}.wbc").read_bytes())
+    pos = 18 + 4 * (1 + 3 * data[14]) + 4  # first code table entry
+    while data[pos] & 0x80:  # its symbol varint
+        pos += 1
+    data[pos + 1] = 58
+    bad = tmp_path / "long_code.wbc"
+    bad.write_bytes(bytes(data))
+    assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
+    message = f"code length 58 out of range (byte offset {pos + 1})"
+    assert message in capsys.readouterr().err
+
+
 def test_unreachable_ratio_is_a_codec_error(tmp_path):
     rc = main([
         "compress", "--input", "synth:noise:64x64x8:seed=0", "--cr", "500",

@@ -318,3 +318,17 @@ def test_compress_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 30 * img.pixels.nbytes
+
+
+def test_decompress_peak_memory_is_bounded():
+    # the flat int64 stream (and the pyramid of views into it) is released
+    # before the inverse transform; holding it costs 4 * pixels.nbytes more
+    img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
+    stream = compress(img, target_cr=20.0)
+    tracemalloc.start()
+    try:
+        decompress(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 * img.pixels.nbytes

@@ -133,9 +133,12 @@ def test_subband_tiling_covers_the_image():
 def test_plane_order_is_ll_then_finest_to_deepest():
     rng = np.random.default_rng(1)
     pyr = dwt_forward(_random_image(rng, 16, 16), 2)
-    names = [name for name, _ in pyr.planes()]
-    assert names == ["ll", "hl1", "lh1", "hh1", "hl2", "lh2", "hh2"]
-    assert pyr.coefficient_count() == 16 * 16
+    fine, deep = pyr.details
+    expected = [pyr.ll, fine.hl, fine.lh, fine.hh, deep.hl, deep.lh, deep.hh]
+    planes = pyr.plane_arrays()
+    assert len(planes) == len(expected)
+    assert all(plane is want for plane, want in zip(planes, expected))
+    assert fine.hh.shape == (8, 8) and deep.hh.shape == (4, 4)
 
 
 def test_levels_too_deep_rejected():

@@ -15,7 +15,7 @@ def _pyramid(seed=0, w=16, h=16, levels=2):
 def test_dead_zone_index_and_reconstruction():
     pyr = _pyramid()
     pyr.ll[0, 0] = 7
-    config = QuantizerConfig.uniform(4, pyr.levels)
+    config = QuantizerConfig(steps=(4,) * 7)
     q = quantize(pyr, config)
     assert q.ll[0, 0] == 1  # floor(7 / 4)
     assert dequantize(q, config).ll[0, 0] == 4
@@ -25,24 +25,23 @@ def test_dead_zone_is_symmetric_in_sign():
     values = np.array([-9, -4, -1, 0, 1, 4, 9])
     pyr = _pyramid(w=16, h=16, levels=1)
     pyr.ll[0, :7] = values
-    config = QuantizerConfig.uniform(4, 1)
+    config = QuantizerConfig(steps=(4,) * 4)
     q = quantize(pyr, config)
     assert q.ll[0, :7].tolist() == [-2, -1, 0, 0, 0, 1, 2]
 
 
 def test_step_one_is_identity():
     pyr = _pyramid(seed=5)
-    config = QuantizerConfig.lossless(pyr.levels)
+    config = QuantizerConfig(steps=(1,) * 7)
     q = quantize(pyr, config)
     for orig, quant in zip(pyr.plane_arrays(), q.plane_arrays()):
         assert np.array_equal(orig, quant)
-    assert config.is_lossless
 
 
 def test_everything_below_step_becomes_zero():
     pyr = _pyramid(seed=6)
     big = 1 << 20
-    config = QuantizerConfig.uniform(big, pyr.levels)
+    config = QuantizerConfig(steps=(big,) * 7)
     q = quantize(pyr, config)
     for plane in q.plane_arrays():
         assert not plane.any()
@@ -50,7 +49,7 @@ def test_everything_below_step_becomes_zero():
 
 def test_quantize_dequantize_error_bounded_by_step():
     pyr = _pyramid(seed=7, levels=2)
-    config = QuantizerConfig.uniform(6, 2)
+    config = QuantizerConfig(steps=(6,) * 7)
     recon = dequantize(quantize(pyr, config), config)
     for orig, rec in zip(pyr.plane_arrays(), recon.plane_arrays()):
         assert np.abs(orig - rec).max() < 6
@@ -69,7 +68,7 @@ def test_gains_favor_deep_planes():
 
 
 def test_scale_one_is_lossless_and_steps_grow_with_scale():
-    assert QuantizerConfig.from_scale(1.0, 3).is_lossless
+    assert QuantizerConfig.from_scale(1.0, 3).steps == (1,) * 10
     prev = None
     for k in range(0, 161, 8):
         steps = QuantizerConfig.from_scale(2.0 ** (k / 16), 3).steps
@@ -92,4 +91,4 @@ def test_config_validation():
 def test_level_mismatch_rejected():
     pyr = _pyramid(levels=2)
     with pytest.raises(ValueError, match="levels"):
-        quantize(pyr, QuantizerConfig.lossless(3))
+        quantize(pyr, QuantizerConfig(steps=(1,) * 10))

@@ -9,7 +9,7 @@ from .codec import (
     compress,
     decompress,
 )
-from .dwt import DetailBands, SubbandPyramid, dwt_forward, dwt_inverse
+from .dwt import SubbandPyramid, dwt_forward, dwt_inverse
 from .huffman import (
     HuffmanCode,
     HuffmanDecodeError,

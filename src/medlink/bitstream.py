@@ -7,7 +7,8 @@ A compressed image is a self-describing byte stream (conventionally a
     0       4     magic "WBC1"
     4       1     format version (1)
     5       4     image width, u32 little-endian
-    9       4     image height, u32 little-endian
+    9       4     image height, u32 little-endian;
+                  width * height <= image_io.MAX_SAMPLES (2**26)
     13      1     bit depth (8 or 16)
     14      1     decomposition levels, 1 <= levels, 2**levels <= min(w, h)
     15      1     flags, always 1 (dead-zone quantization)
@@ -32,6 +33,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .huffman import MAX_CODE_LENGTH
+from .image_io import MAX_SAMPLES
 
 __all__ = ["BitstreamError", "CompressedBitstream", "MAGIC", "VERSION"]
 
@@ -141,6 +143,10 @@ class CompressedBitstream:
         if version != VERSION:
             raise BitstreamError(f"unsupported format version {version}", 4)
         width, height = struct.unpack_from("<II", data, 5)
+        if width * height > MAX_SAMPLES:
+            raise BitstreamError(
+                f"{width}x{height} image exceeds {MAX_SAMPLES} samples", 5
+            )
         bit_depth = data[13]
         levels = data[14]
         flags = data[15]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitstream import CompressedBitstream, pack_header
-from .dwt import SubbandPyramid, dwt_forward, dwt_inverse, subband_shapes
+from .dwt import SubbandPyramid, dwt_forward, dwt_inverse
 from .huffman import (
     HuffmanCode,
     HuffmanError,
@@ -29,7 +29,7 @@ from .huffman import (
     huffman_decode,
     huffman_encode,
 )
-from .image_io import GrayImage
+from .image_io import MAX_SAMPLES, GrayImage
 from .quantize import QuantizerConfig, _quantize_plane, dequantize, quantize
 
 __all__ = [
@@ -67,23 +67,6 @@ class RateControlError(CodecError):
 
 class DecodeError(CodecError):
     """Compressed data failed to parse back into an image."""
-
-
-def _flatten(pyramid: SubbandPyramid) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in pyramid.plane_arrays()])
-
-
-def _unflatten(
-    flat: np.ndarray, width: int, height: int, levels: int, bit_depth: int
-) -> SubbandPyramid:
-    ll_shape, per_level = subband_shapes(width, height, levels)
-    shapes = [ll_shape, *(shape for bands in per_level for shape in bands)]
-    bounds = np.cumsum([rows * cols for rows, cols in shapes])
-    if bounds[-1] != flat.size:
-        raise DecodeError(f"coefficient count {flat.size}, geometry implies {bounds[-1]}")
-    parts = np.split(flat, bounds[:-1])
-    planes = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-    return SubbandPyramid.from_planes(width, height, bit_depth, planes)
 
 
 def _zero_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +150,7 @@ class _ProbeSizer:
         planes = pyramid.plane_arrays()
         self.tables = [_value_table(plane.ravel()) for plane in planes]
         self.bounds = np.cumsum([0] + [plane.size for plane in planes]).tolist()
-        flat = _flatten(pyramid)
-        self.magnitudes = np.abs(flat, out=flat)
+        self.magnitudes = np.abs(pyramid.coefficients)
 
     def frequencies(self, config: QuantizerConfig) -> dict[int, int]:
         """Token frequencies, equal to ``_frequencies`` of the tokenized,
@@ -213,7 +195,7 @@ class _ProbeSizer:
 
 
 def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitstream:
-    tokens = _tokenize(_flatten(quantize(pyramid, config)))
+    tokens = _tokenize(quantize(pyramid, config).coefficients)
     code = huffman_build(_frequencies(tokens))
     payload, payload_bits = huffman_encode(tokens, code)
     return CompressedBitstream(
@@ -283,6 +265,10 @@ def compress(
     """
     if target_cr < 1.0:
         raise CodecError(f"target compression ratio {target_cr:g} must be >= 1")
+    if image.width * image.height > MAX_SAMPLES:
+        raise CodecError(
+            f"{image.width}x{image.height} image exceeds {MAX_SAMPLES} samples"
+        )
     pyramid = dwt_forward(image, levels)
     if lossless:
         return _encode(pyramid, _grid_config(0, levels))
@@ -307,12 +293,12 @@ def decompress(stream: CompressedBitstream) -> GrayImage:
         raise DecodeError(f"payload does not decode: {exc}") from exc
     flat = _detokenize(tokens, stream.width * stream.height)
     del tokens
-    pyramid = _unflatten(
-        flat, stream.width, stream.height, stream.levels, stream.bit_depth
-    )
-    del flat  # the pyramid's planes are views of it
     config = QuantizerConfig(steps=stream.steps)
     try:
+        pyramid = SubbandPyramid(
+            stream.levels, stream.width, stream.height, stream.bit_depth, flat
+        )
+        del flat  # the pyramid holds the decoded stream
         coefficients = dequantize(pyramid, config)
         del pyramid  # frees the decoded stream before the inverse transform
         return dwt_inverse(coefficients)

@@ -13,14 +13,13 @@ next level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .image_io import GrayImage
 
 __all__ = [
-    "DetailBands",
     "SubbandPyramid",
     "dwt_forward",
     "dwt_inverse",
@@ -29,59 +28,39 @@ __all__ = [
 
 
 @dataclass
-class DetailBands:
-    """The three detail quadrants of one decomposition level."""
-
-    hl: np.ndarray  # horizontally high-pass (top-right quadrant)
-    lh: np.ndarray  # vertically high-pass (bottom-left quadrant)
-    hh: np.ndarray  # diagonal
-
-
-@dataclass
 class SubbandPyramid:
-    """Subband coefficients of an image.
+    """Subband coefficients of an image, held as one coefficient stream.
 
-    ``details[0]`` is the finest (first) level; ``ll`` is the low-low
-    residual of the deepest level. Plane iteration order is fixed: LL
-    first, then hl/lh/hh of level 1, level 2, and so on. That order is
-    the coefficient stream order of the codec.
+    ``coefficients`` is a 1-D array of ``width * height`` values in the
+    codec's stream order: the LL residual of the deepest level first, then
+    hl/lh/hh of level 1 (the finest), level 2, and so on, each plane in
+    row-major order. ``plane_arrays`` returns the planes as views of it.
     """
 
     levels: int
     width: int
     height: int
     bit_depth: int
-    ll: np.ndarray
-    details: list[DetailBands] = field(default_factory=list)
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        if self.levels < 1:
+            raise ValueError("levels must be at least 1")
+        if self.coefficients.shape != (self.width * self.height,):
+            raise ValueError(
+                f"coefficient stream of shape {self.coefficients.shape}, "
+                f"a {self.width}x{self.height} image needs {self.width * self.height}"
+            )
 
     def plane_arrays(self) -> list[np.ndarray]:
-        """The planes in canonical stream order."""
-        planes = [self.ll]
-        for bands in self.details:
-            planes += [bands.hl, bands.lh, bands.hh]
+        """The planes in stream order, as reshaped views of the stream."""
+        ll_shape, per_level = subband_shapes(self.width, self.height, self.levels)
+        planes, start = [], 0
+        for rows, cols in [ll_shape, *(shape for bands in per_level for shape in bands)]:
+            end = start + rows * cols
+            planes.append(self.coefficients[start:end].reshape(rows, cols))
+            start = end
         return planes
-
-    @classmethod
-    def from_planes(
-        cls, width: int, height: int, bit_depth: int, planes: list[np.ndarray]
-    ) -> "SubbandPyramid":
-        """Build a pyramid from its planes in canonical stream order."""
-        details = [DetailBands(*planes[i : i + 3]) for i in range(1, len(planes), 3)]
-        return cls(len(details), width, height, bit_depth, planes[0], details)
-
-    def validate(self):
-        """Check the subband tiling against the declared geometry."""
-        if self.levels != len(self.details):
-            raise ValueError("level count does not match detail band list")
-        expected = subband_shapes(self.width, self.height, self.levels)
-        if self.ll.shape != expected[0]:
-            raise ValueError(
-                f"ll shape {self.ll.shape} does not match expected {expected[0]}"
-            )
-        for level, bands in enumerate(self.details, start=1):
-            hl, lh, hh = expected[1][level - 1]
-            if bands.hl.shape != hl or bands.lh.shape != lh or bands.hh.shape != hh:
-                raise ValueError(f"detail band shape mismatch at level {level}")
 
 
 def subband_shapes(width: int, height: int, levels: int):
@@ -159,17 +138,20 @@ def dwt_forward(image: GrayImage, levels: int) -> SubbandPyramid:
             f"{levels} levels too deep for a "
             f"{image.width}x{image.height} image"
         )
-    cur = image.pixels.astype(np.int64)
-    details = []
-    for _ in range(levels):
+    # the image's copy becomes the stream: a level's row pass is the last
+    # read of its input, so level 1 writes its detail planes over the image
+    stream = image.pixels.astype(np.int64, order="C").reshape(-1)
+    pyramid = SubbandPyramid(levels, image.width, image.height, image.bit_depth, stream)
+    ll, *details = pyramid.plane_arrays()
+    cur = stream.reshape(image.height, image.width)
+    for level in range(levels):
         low, high = _analyze(cur)  # rows: split columns into left/right
-        ll, lh = (b.T for b in _analyze(low.T))  # columns of the left half
+        cur, lh = (b.T for b in _analyze(low.T))  # columns of the left half
         hl, hh = (b.T for b in _analyze(high.T))
-        details += [hl, lh, hh]
-        cur = ll
-    return SubbandPyramid.from_planes(
-        image.width, image.height, image.bit_depth, [cur, *details]
-    )
+        for view, band in zip(details[3 * level : 3 * level + 3], (hl, lh, hh)):
+            view[...] = band
+    ll[...] = cur
+    return pyramid
 
 
 def dwt_inverse(pyramid: SubbandPyramid) -> GrayImage:
@@ -179,11 +161,11 @@ def dwt_inverse(pyramid: SubbandPyramid) -> GrayImage:
     clamped to [0, 2**bit_depth - 1] so quantized pyramids still produce a
     valid image.
     """
-    pyramid.validate()
-    cur = pyramid.ll.astype(np.int64)
-    for bands in reversed(pyramid.details):
-        low = _synthesize(cur.T, bands.lh.T.astype(np.int64)).T
-        high = _synthesize(bands.hl.T.astype(np.int64), bands.hh.T.astype(np.int64)).T
+    cur, *details = pyramid.plane_arrays()
+    for level in reversed(range(pyramid.levels)):
+        hl, lh, hh = details[3 * level : 3 * level + 3]
+        low = _synthesize(cur.T, lh.T).T
+        high = _synthesize(hl.T, hh.T).T
         cur = _synthesize(low, high)
     np.clip(cur, 0, (1 << pyramid.bit_depth) - 1, out=cur)
     return GrayImage(

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GrayImage", "PgmError", "load_pgm", "save_pgm"]
+__all__ = ["MAX_SAMPLES", "GrayImage", "PgmError", "load_pgm", "save_pgm"]
+
+# Largest image the codec handles: 8192x8192, whose int64 coefficient
+# stream is 512 MiB. compress, synth_image and CompressedBitstream.from_bytes
+# refuse larger images before allocating anything of their size.
+MAX_SAMPLES = 1 << 26
 
 # maxval -> bit depth
 _MAXVALS = {255: 8, 65535: 16}

@@ -9,7 +9,7 @@ Reconstruction is index * step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,10 +74,9 @@ class QuantizerConfig:
 
 
 def _quantize_plane(plane: np.ndarray, step: int) -> np.ndarray:
-    c = plane.astype(np.int64)
     if step == 1:
-        return c
-    return np.sign(c) * (np.abs(c) // step)
+        return plane
+    return np.sign(plane) * (np.abs(plane) // step)
 
 
 def quantize(pyramid: SubbandPyramid, config: QuantizerConfig) -> SubbandPyramid:
@@ -87,15 +86,16 @@ def quantize(pyramid: SubbandPyramid, config: QuantizerConfig) -> SubbandPyramid
 
 def dequantize(pyramid: SubbandPyramid, config: QuantizerConfig) -> SubbandPyramid:
     """Reconstruct coefficients from indices (index * step)."""
-    return _map_planes(pyramid, config, lambda p, step: p.astype(np.int64) * step)
+    return _map_planes(pyramid, config, np.multiply)
 
 
 def _map_planes(pyramid: SubbandPyramid, config: QuantizerConfig, op) -> SubbandPyramid:
+    """A new pyramid whose every plane is ``op(plane, step)``."""
     if config.levels != pyramid.levels:
         raise ValueError(
             f"quantizer has {config.levels} levels, pyramid has {pyramid.levels}"
         )
-    planes = [op(plane, step) for plane, step in zip(pyramid.plane_arrays(), config.steps)]
-    return SubbandPyramid.from_planes(
-        pyramid.width, pyramid.height, pyramid.bit_depth, planes
-    )
+    out = replace(pyramid, coefficients=np.empty_like(pyramid.coefficients))
+    for plane, target, step in zip(pyramid.plane_arrays(), out.plane_arrays(), config.steps):
+        target[...] = op(plane, step)
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image_io import GrayImage
+from .image_io import MAX_SAMPLES, GrayImage
 
 __all__ = ["KINDS", "synth_image"]
 
@@ -55,6 +55,8 @@ def synth_image(
         raise ValueError(f"unknown image kind {kind!r}, expected one of {KINDS}")
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be at least 1x1")
+    if width * height > MAX_SAMPLES:
+        raise ValueError(f"{width}x{height} image exceeds {MAX_SAMPLES} samples")
     maxval = (1 << bit_depth) - 1
     rng = np.random.default_rng(seed)
     if kind == "ramp":

@@ -81,18 +81,6 @@ class FragmentationPlan:
     def total_payload_bytes(self) -> int:
         return sum(self.data_blocks)
 
-    @property
-    def total_overhead_bytes(self) -> int:
-        overhead = PACKET_OVERHEAD * self.data_packet_count
-        if self.tftp_ack:
-            overhead += ACK_MSDU * self.data_packet_count
-        return overhead
-
-    def to_csv(self) -> str:
-        lines = ["packet,payload_bytes"]
-        lines.extend(f"{i},{m}" for i, m in enumerate(self.packet_payloads))
-        return "\n".join(lines) + "\n"
-
 
 def fragment(bitstream_bytes: int, blocksize: int, tftp_ack: bool = False) -> FragmentationPlan:
     """Split a bitstream of the given byte size into TFTP data blocks.

@@ -12,6 +12,7 @@ from medlink.bitstream import (
     _zigzag,
 )
 from medlink.huffman import MAX_CODE_LENGTH
+from medlink.image_io import MAX_SAMPLES
 
 
 def _sample_stream(payload=b"\xa5\x80", payload_bits=10):
@@ -121,6 +122,25 @@ def test_zero_quantizer_step_rejected_with_its_offset(index):
     with pytest.raises(BitstreamError, match="step") as err:
         CompressedBitstream.from_bytes(bytes(data))
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "width,height", [(8192, 8193), (50000, 50000), (2**32 - 1, 2**32 - 1)]
+)
+def test_geometry_above_sample_ceiling_rejected_at_width(width, height):
+    data = bytearray(_sample_stream().to_bytes())
+    struct.pack_into("<II", data, 5, width, height)
+    with pytest.raises(BitstreamError, match="exceeds") as err:
+        CompressedBitstream.from_bytes(bytes(data))
+    assert err.value.offset == 5
+
+
+@pytest.mark.parametrize("width,height", [(8192, 8192), (1 << 16, 1 << 10)])
+def test_geometry_at_sample_ceiling_parses(width, height):
+    assert width * height == MAX_SAMPLES
+    data = bytearray(_sample_stream().to_bytes())
+    struct.pack_into("<II", data, 5, width, height)
+    assert CompressedBitstream.from_bytes(bytes(data)).width == width
 
 
 def test_payload_length_mismatch_rejected_on_write():

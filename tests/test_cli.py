@@ -2,10 +2,15 @@
 
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import medlink
 from medlink.cli import main
 from medlink.image_io import load_pgm
 from medlink.synth import synth_image
@@ -248,6 +253,38 @@ def test_code_length_beyond_cap_is_a_codec_error(tmp_path, capsys):
     assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
     message = f"code length 58 out of range (byte offset {pos + 1})"
     assert message in capsys.readouterr().err
+
+
+_CLI_UNDER_1_GIB = """
+import resource, sys
+from medlink.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_synth_spec_above_sample_ceiling_is_a_usage_error(tmp_path):
+    src = str(Path(medlink.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _CLI_UNDER_1_GIB, "compress",
+         "--input", "synth:blobs:50000x50000x16", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "50000x50000 image exceeds" in result.stderr
+
+
+def test_container_above_sample_ceiling_is_a_codec_error(tmp_path, capsys):
+    assert main(["compress", "--input", SPEC_SMALL, "--out", str(tmp_path)]) == 0
+    data = bytearray((tmp_path / f"{NAME_SMALL}.wbc").read_bytes())
+    struct.pack_into("<II", data, 5, 50000, 50000)
+    bad = tmp_path / "huge.wbc"
+    bad.write_bytes(bytes(data))
+    assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
+    assert "exceeds 67108864 samples (byte offset 5)" in capsys.readouterr().err
 
 
 def test_unreachable_ratio_is_a_codec_error(tmp_path):

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +14,14 @@ from medlink.codec import (
     DecodeError,
     RateControlError,
     _detokenize,
-    _flatten,
     _frequencies,
     _ProbeSizer,
     _tokenize,
-    _unflatten,
     compress,
     decompress,
 )
-from medlink.dwt import DetailBands, SubbandPyramid, dwt_forward, subband_shapes
-from medlink.image_io import GrayImage
+from medlink.dwt import SubbandPyramid, dwt_forward
+from medlink.image_io import MAX_SAMPLES, GrayImage
 from medlink.quantize import QuantizerConfig, quantize
 from medlink.synth import synth_image
 
@@ -93,17 +95,6 @@ def test_detokenize_rejects_corrupt_streams():
         _detokenize(np.array([0, -3], dtype=np.int64), 1)
     with pytest.raises(DecodeError, match="expected"):
         _detokenize(np.array([0, 4], dtype=np.int64), 5)
-
-
-def test_flatten_unflatten_round_trip():
-    rng = np.random.default_rng(41)
-    img = _random_image(rng, 23, 17, 16)
-    pyr = dwt_forward(img, 2)
-    flat = _flatten(pyr)
-    assert flat.size == 23 * 17
-    back = _unflatten(flat, 23, 17, 2, 16)
-    for a, b in zip(pyr.plane_arrays(), back.plane_arrays()):
-        assert np.array_equal(a, b)
 
 
 def test_lossless_round_trip_100_random_images():
@@ -180,6 +171,72 @@ def test_decompress_of_truncated_payload_is_an_error():
         decompress(clipped)
 
 
+# 79 bytes declaring a 50000x50000 image whose payload is one zero run
+# over all of it; decoding would allocate ~18.6 GiB
+OVERSIZED_CONTAINER = CompressedBitstream(
+    width=50000,
+    height=50000,
+    bit_depth=16,
+    levels=3,
+    steps=(1,) * 10,
+    code_lengths={0: 1, 50000 * 50000: 1},
+    payload=b"\x40",  # tokens 0, 2.5e9
+    payload_bit_length=2,
+).to_bytes()
+
+_DECODE_UNDER_1_GIB = """
+import resource, sys
+from medlink.bitstream import BitstreamError, CompressedBitstream
+from medlink.codec import decompress
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+try:
+    decompress(CompressedBitstream.from_bytes(sys.stdin.buffer.read()))
+except BitstreamError as exc:
+    print(type(exc).__name__, exc.offset)
+"""
+
+
+def test_oversized_container_is_refused_in_bounded_memory():
+    assert len(OVERSIZED_CONTAINER) == 79
+    src = str(Path(codec.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _DECODE_UNDER_1_GIB],
+        input=OVERSIZED_CONTAINER,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, b"BitstreamError 5\n"), result.stderr
+
+
+def test_compress_refuses_images_above_the_sample_ceiling():
+    width, height = 8192, MAX_SAMPLES // 8192 + 1
+    img = GrayImage(width, height, 8, np.broadcast_to(np.uint8(0), (height, width)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(codec.CodecError, match="exceeds"):
+            compress(img, target_cr=20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_synth_image_refuses_sizes_above_the_sample_ceiling():
+    for width, height in [(8192, 8193), (50000, 50000)]:
+        with pytest.raises(ValueError, match="exceeds"):
+            synth_image("blobs", width, height)
+
+
+def test_decompress_of_zero_level_stream_is_an_error():
+    # from_bytes rejects such a container; a stream built in memory must
+    # still fail as a DecodeError
+    stream = compress(synth_image("blobs", 16, 16, bit_depth=8, seed=1), lossless=True)
+    stream.levels, stream.steps = 0, (1,)
+    with pytest.raises(DecodeError, match="levels"):
+        decompress(stream)
+
+
 def test_stream_records_quantizer_and_geometry():
     img = synth_image("blobs", 96, 64, bit_depth=16, seed=5)
     stream = compress(img, target_cr=15.0, levels=2)
@@ -205,10 +262,11 @@ def test_scale_grid_is_fine_enough_not_to_overshoot():
 
 
 def _random_pyramid(rng, width, height, levels, kind):
-    """Coefficient planes of the given geometry, filled by ``kind``:
-    "zeros", "nonzero" (no coefficient is 0), "runs" (mostly zeros, with
-    whole zero planes so runs cross plane boundaries) or "wide" (values
-    spread over +-2**20, so value tables take the sorting path)."""
+    """A coefficient stream of the given geometry, filled plane by plane
+    by ``kind``: "zeros", "nonzero" (no coefficient is 0), "runs" (mostly
+    zeros, with whole zero planes so runs cross plane boundaries) or
+    "wide" (values spread over +-2**20, so value tables take the sorting
+    path)."""
 
     def plane(shape):
         if kind == "zeros":
@@ -222,9 +280,11 @@ def _random_pyramid(rng, width, height, levels, kind):
                 values[...] = 0
         return values
 
-    ll_shape, per_level = subband_shapes(width, height, levels)
-    details = [DetailBands(*(plane(shape) for shape in shapes)) for shapes in per_level]
-    return SubbandPyramid(levels, width, height, 16, plane(ll_shape), details)
+    stream = np.empty(width * height, dtype=np.int64)
+    pyramid = SubbandPyramid(levels, width, height, 16, stream)
+    for view in pyramid.plane_arrays():
+        view[...] = plane(view.shape)
+    return pyramid
 
 
 def test_probe_sizer_frequencies_match_tokenized_stream():
@@ -238,7 +298,7 @@ def test_probe_sizer_frequencies_match_tokenized_stream():
         for _ in range(6):
             steps = rng.choice([1, 1, 2, 3, 5, 64, 255, 1000, 4096], size=1 + 3 * levels)
             config = QuantizerConfig(tuple(steps))
-            expected = _frequencies(_tokenize(_flatten(quantize(pyramid, config))))
+            expected = _frequencies(_tokenize(quantize(pyramid, config).coefficients))
             assert sizer.frequencies(config) == expected
 
 
@@ -321,8 +381,9 @@ def test_compress_peak_memory_is_bounded():
 
 
 def test_decompress_peak_memory_is_bounded():
-    # the flat int64 stream (and the pyramid of views into it) is released
-    # before the inverse transform; holding it costs 4 * pixels.nbytes more
+    # the decoded int64 stream (the pyramid of the quantizer indices) is
+    # released before the inverse transform; holding it costs
+    # 4 * pixels.nbytes more
     img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
     stream = compress(img, target_cr=20.0)
     tracemalloc.start()

@@ -5,11 +5,14 @@ symmetrically extended signal, with no slicing shortcuts, so agreement
 with the vectorized transform is meaningful.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from medlink.dwt import dwt_forward, dwt_inverse, subband_shapes
+from medlink.dwt import SubbandPyramid, dwt_forward, dwt_inverse, subband_shapes
 from medlink.image_io import GrayImage
+from medlink.synth import synth_image
 
 
 def _reflect(i, n):
@@ -72,11 +75,9 @@ def test_matches_reference_on_8x8_ramp():
     img = GrayImage(8, 8, 8, pixels)
     pyr = dwt_forward(img, 1)
     ref_ll, ref_details = _ref_forward(pixels, 1)
-    assert pyr.ll.tolist() == ref_ll
-    hl, lh, hh = ref_details[0]
-    assert pyr.details[0].hl.tolist() == hl
-    assert pyr.details[0].lh.tolist() == lh
-    assert pyr.details[0].hh.tolist() == hh
+    ll, hl, lh, hh = pyr.plane_arrays()
+    assert ll.tolist() == ref_ll
+    assert [hl.tolist(), lh.tolist(), hh.tolist()] == list(ref_details[0])
 
 
 @pytest.mark.parametrize("w,h,levels", [(8, 8, 2), (7, 5, 1), (12, 9, 2), (16, 11, 3)])
@@ -85,21 +86,19 @@ def test_matches_reference_on_random_images(w, h, levels):
     img = _random_image(rng, w, h)
     pyr = dwt_forward(img, levels)
     ref_ll, ref_details = _ref_forward(img.pixels, levels)
-    assert pyr.ll.tolist() == ref_ll
-    for bands, (hl, lh, hh) in zip(pyr.details, ref_details):
-        assert bands.hl.tolist() == hl
-        assert bands.lh.tolist() == lh
-        assert bands.hh.tolist() == hh
+    ll, *details = pyr.plane_arrays()
+    assert ll.tolist() == ref_ll
+    assert [plane.tolist() for plane in details] == [
+        plane for bands in ref_details for plane in bands
+    ]
 
 
 def test_constant_image_has_zero_details():
     img = GrayImage(16, 16, 8, np.full((16, 16), 77, dtype=np.uint8))
     pyr = dwt_forward(img, 3)
-    for bands in pyr.details:
-        assert not bands.hl.any()
-        assert not bands.lh.any()
-        assert not bands.hh.any()
-    assert (pyr.ll == 77).all()
+    ll, *details = pyr.plane_arrays()
+    assert not any(plane.any() for plane in details)
+    assert (ll == 77).all()
 
 
 @pytest.mark.parametrize("depth", [8, 16])
@@ -131,14 +130,26 @@ def test_subband_tiling_covers_the_image():
 
 
 def test_plane_order_is_ll_then_finest_to_deepest():
+    ll, per_level = subband_shapes(16, 16, 2)
+    expected = [ll, *(shape for bands in per_level for shape in bands)]
+    assert expected == [(4, 4), (8, 8), (8, 8), (8, 8), (4, 4), (4, 4), (4, 4)]
     rng = np.random.default_rng(1)
     pyr = dwt_forward(_random_image(rng, 16, 16), 2)
-    fine, deep = pyr.details
-    expected = [pyr.ll, fine.hl, fine.lh, fine.hh, deep.hl, deep.lh, deep.hh]
+    assert [plane.shape for plane in pyr.plane_arrays()] == expected
+
+
+def test_plane_views_share_the_stream():
+    rng = np.random.default_rng(41)
+    pyr = dwt_forward(_random_image(rng, 23, 17, 16), 2)
+    assert pyr.coefficients.shape == (23 * 17,)
     planes = pyr.plane_arrays()
-    assert len(planes) == len(expected)
-    assert all(plane is want for plane, want in zip(planes, expected))
-    assert fine.hh.shape == (8, 8) and deep.hh.shape == (4, 4)
+    assert all(np.shares_memory(plane, pyr.coefficients) for plane in planes)
+    # the views tile the stream in order, each plane row-major
+    assert np.array_equal(
+        np.concatenate([plane.ravel() for plane in planes]), pyr.coefficients
+    )
+    planes[2][0, 0] = 12345
+    assert pyr.coefficients[planes[0].size + planes[1].size] == 12345
 
 
 def test_levels_too_deep_rejected():
@@ -149,9 +160,26 @@ def test_levels_too_deep_rejected():
     dwt_forward(img, 3)  # boundary case is allowed
 
 
-def test_inverse_rejects_mismatched_tiling():
-    rng = np.random.default_rng(3)
-    pyr = dwt_forward(_random_image(rng, 16, 16), 2)
-    pyr.details[0].hl = pyr.details[0].hl[:-1]
-    with pytest.raises(ValueError):
-        dwt_inverse(pyr)
+def test_pyramid_rejects_wrong_size_stream():
+    for shape in [(16 * 16 - 1,), (16 * 16 + 1,), (16, 16), (0,)]:
+        with pytest.raises(ValueError, match="coefficient stream"):
+            SubbandPyramid(2, 16, 16, 8, np.zeros(shape, dtype=np.int64))
+
+
+def test_pyramid_rejects_zero_levels():
+    # dwt_inverse would otherwise clamp the caller's stream in place
+    with pytest.raises(ValueError, match="levels"):
+        SubbandPyramid(0, 2, 2, 8, np.array([-5, 300, 7, 9]))
+
+
+def test_forward_peak_memory_is_bounded():
+    # the image's int64 copy is the coefficient stream; a separately
+    # allocated stream would peak near 18x the pixel bytes
+    img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
+    tracemalloc.start()
+    try:
+        dwt_forward(img, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * img.pixels.nbytes

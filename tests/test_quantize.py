@@ -14,20 +14,20 @@ def _pyramid(seed=0, w=16, h=16, levels=2):
 
 def test_dead_zone_index_and_reconstruction():
     pyr = _pyramid()
-    pyr.ll[0, 0] = 7
+    pyr.plane_arrays()[0][0, 0] = 7
     config = QuantizerConfig(steps=(4,) * 7)
     q = quantize(pyr, config)
-    assert q.ll[0, 0] == 1  # floor(7 / 4)
-    assert dequantize(q, config).ll[0, 0] == 4
+    assert q.plane_arrays()[0][0, 0] == 1  # floor(7 / 4)
+    assert dequantize(q, config).plane_arrays()[0][0, 0] == 4
 
 
 def test_dead_zone_is_symmetric_in_sign():
     values = np.array([-9, -4, -1, 0, 1, 4, 9])
     pyr = _pyramid(w=16, h=16, levels=1)
-    pyr.ll[0, :7] = values
+    pyr.plane_arrays()[0][0, :7] = values
     config = QuantizerConfig(steps=(4,) * 4)
     q = quantize(pyr, config)
-    assert q.ll[0, :7].tolist() == [-2, -1, 0, 0, 0, 1, 2]
+    assert q.plane_arrays()[0][0, :7].tolist() == [-2, -1, 0, 0, 0, 1, 2]
 
 
 def test_step_one_is_identity():
@@ -36,6 +36,17 @@ def test_step_one_is_identity():
     q = quantize(pyr, config)
     for orig, quant in zip(pyr.plane_arrays(), q.plane_arrays()):
         assert np.array_equal(orig, quant)
+
+
+def test_each_plane_gets_its_own_step():
+    pyr = _pyramid(seed=8)
+    config = QuantizerConfig(steps=(1, 2, 3, 5, 7, 11, 13))
+    q = quantize(pyr, config)
+    for orig, quant, step in zip(pyr.plane_arrays(), q.plane_arrays(), config.steps):
+        assert np.array_equal(quant, np.sign(orig) * (np.abs(orig) // step))
+    recon = dequantize(q, config)
+    for quant, rec, step in zip(q.plane_arrays(), recon.plane_arrays(), config.steps):
+        assert np.array_equal(rec, quant * step)
 
 
 def test_everything_below_step_becomes_zero():

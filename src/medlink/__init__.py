@@ -30,9 +30,6 @@ from .macsim import (
     frame_airtime,
     load_mac_config,
     simulate,
-    simulate_dcf,
-    simulate_dcf_rts,
-    simulate_pcf,
 )
 from .metrics import (
     MetricsError,

@@ -1,14 +1,17 @@
 """Reversible two-dimensional wavelet decomposition.
 
 Integer 5/3 lifting with whole-sample symmetric extension at the borders.
-The forward transform maps integers to integers and the inverse undoes it
-exactly, so the pyramid supports a lossless pipeline; after quantization
-the inverse clamps reconstructed samples to the image's range.
+Both directions lift along axis 0 with one neighbour-sum helper (predict
+sums of even samples, update sums of details); the inverse runs the two
+steps backwards with the signs flipped, so it undoes the forward
+transform exactly and the pyramid supports a lossless pipeline. After
+quantization the inverse clamps reconstructed samples to the image's range.
 
-Odd extents split as ceil(n/2) low / floor(n/2) high samples per axis, so
-images do not need power-of-two dimensions. A level transforms rows first,
-then columns, producing four quadrants; the low-low quadrant feeds the
-next level.
+Odd extents split as ceil(n/2) low / floor(n/2) high samples per axis. A
+level lifts rows (through the transposed view), then columns, producing
+four row-major quadrants; the low-low quadrant feeds the next level.
+``SubbandPyramid`` makes the one geometry check, 1 <= levels and
+2**levels <= min(width, height), so every lifted extent has two samples.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ class SubbandPyramid:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("levels must be at least 1")
+        if 2**self.levels > min(self.width, self.height):
+            raise ValueError(
+                f"{self.levels} levels too deep for a {self.width}x{self.height} image"
+            )
         if self.coefficients.shape != (self.width * self.height,):
             raise ValueError(
                 f"coefficient stream of shape {self.coefficients.shape}, "
@@ -78,66 +85,45 @@ def subband_shapes(width: int, height: int, levels: int):
     return (h, w), per_level
 
 
-def _analyze(a: np.ndarray):
-    """One 5/3 lifting step along the last axis: returns (low, high).
+def _neighbour_sums(x: np.ndarray, lead: int, count: int) -> np.ndarray:
+    """x[k - lead] + x[k - lead + 1] for k < count, along axis 0.
+
+    The first and last rows repeat past the ends (whole-sample symmetric
+    extension): lead=0 gives the predict sums of the even samples, lead=1
+    the update sums of the details. The result keeps ``x``'s layout.
+    """
+    out = np.empty_like(x, shape=(count, *x.shape[1:]))
+    stop = min(count, x.shape[0] - 1 + lead)
+    np.add(x[: stop - lead], x[1 : stop - lead + 1], out=out[lead:stop])
+    if lead:
+        np.add(x[0], x[0], out=out[0])
+    if stop < count:
+        np.add(x[-1], x[-1], out=out[stop])
+    return out
+
+
+def _analyze(x: np.ndarray):
+    """One 5/3 lifting step along axis 0: returns (low, high).
 
     high[k] = x[2k+1] - floor((x[2k] + x[2k+2]) / 2)
     low[k]  = x[2k]   + floor((high[k-1] + high[k] + 2) / 4)
-    with symmetric extension about the first and last sample.
     """
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy(), a[..., :0].copy()
-    even = a[..., 0::2]
-    odd = a[..., 1::2]
-    ne = even.shape[-1]
-    no = odd.shape[-1]
-    if no == ne:
-        # even sample to the right of the last odd one mirrors to itself
-        right = np.concatenate([even[..., 1:], even[..., -1:]], axis=-1)
-    else:
-        right = even[..., 1 : no + 1]
-    d = odd - (even[..., :no] + right) // 2
-    # symmetric extension on the detail sequence: d[-1] = d[0], d[no] = d[no-1]
-    dm1 = np.concatenate([d[..., :1], d[..., : ne - 1]], axis=-1)
-    dcur = d if no == ne else np.concatenate([d, d[..., -1:]], axis=-1)
-    s = even + (dm1 + dcur[..., :ne] + 2) // 4
-    return s, d
+    even, odd = x[0::2], x[1::2]
+    high = odd - _neighbour_sums(even, 0, odd.shape[0]) // 2
+    return even + (_neighbour_sums(high, 1, even.shape[0]) + 2) // 4, high
 
 
-def _synthesize(s: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Invert one lifting step along the last axis."""
-    ne = s.shape[-1]
-    no = d.shape[-1]
-    if no == 0:
-        return s.copy()
-    dm1 = np.concatenate([d[..., :1], d[..., : ne - 1]], axis=-1)
-    dcur = d if no == ne else np.concatenate([d, d[..., -1:]], axis=-1)
-    even = s - (dm1 + dcur[..., :ne] + 2) // 4
-    if no == ne:
-        right = np.concatenate([even[..., 1:], even[..., -1:]], axis=-1)
-    else:
-        right = even[..., 1 : no + 1]
-    odd = d + (even[..., :no] + right) // 2
-    out = np.empty(s.shape[:-1] + (ne + no,), dtype=np.int64)
-    out[..., 0::2] = even
-    out[..., 1::2] = odd
+def _synthesize(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Invert ``_analyze``: its two steps in reverse order, signs flipped."""
+    out = np.empty_like(low, shape=(low.shape[0] + high.shape[0], *low.shape[1:]))
+    even, odd = out[0::2], out[1::2]
+    np.subtract(low, (_neighbour_sums(high, 1, low.shape[0]) + 2) // 4, out=even)
+    np.add(high, _neighbour_sums(even, 0, high.shape[0]) // 2, out=odd)
     return out
 
 
 def dwt_forward(image: GrayImage, levels: int) -> SubbandPyramid:
-    """Decompose an image into a subband pyramid.
-
-    ``levels`` must satisfy 2**levels <= min(width, height) so every level
-    still has at least one low-pass sample per axis.
-    """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
-    if 2**levels > min(image.width, image.height):
-        raise ValueError(
-            f"{levels} levels too deep for a "
-            f"{image.width}x{image.height} image"
-        )
+    """Decompose an image into a pyramid of ``levels`` levels."""
     # the image's copy becomes the stream: a level's row pass is the last
     # read of its input, so level 1 writes its detail planes over the image
     stream = image.pixels.astype(np.int64, order="C").reshape(-1)
@@ -145,9 +131,9 @@ def dwt_forward(image: GrayImage, levels: int) -> SubbandPyramid:
     ll, *details = pyramid.plane_arrays()
     cur = stream.reshape(image.height, image.width)
     for level in range(levels):
-        low, high = _analyze(cur)  # rows: split columns into left/right
-        cur, lh = (b.T for b in _analyze(low.T))  # columns of the left half
-        hl, hh = (b.T for b in _analyze(high.T))
+        low, high = (b.T for b in _analyze(cur.T))  # rows: left/right halves
+        cur, lh = _analyze(low)  # columns of the left half
+        hl, hh = _analyze(high)
         for view, band in zip(details[3 * level : 3 * level + 3], (hl, lh, hh)):
             view[...] = band
     ll[...] = cur
@@ -164,9 +150,9 @@ def dwt_inverse(pyramid: SubbandPyramid) -> GrayImage:
     cur, *details = pyramid.plane_arrays()
     for level in reversed(range(pyramid.levels)):
         hl, lh, hh = details[3 * level : 3 * level + 3]
-        low = _synthesize(cur.T, lh.T).T
-        high = _synthesize(hl.T, hh.T).T
-        cur = _synthesize(low, high)
+        low = _synthesize(cur, lh)
+        high = _synthesize(hl, hh)
+        cur = _synthesize(low.T, high.T).T
     np.clip(cur, 0, (1 << pyramid.bit_depth) - 1, out=cur)
     return GrayImage(
         width=pyramid.width,

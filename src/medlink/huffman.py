@@ -92,9 +92,6 @@ class HuffmanCode:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HuffmanCode) and self.lengths == other.lengths
-
     def mean_length(self, frequencies: dict[int, int]) -> float:
         """Frequency-weighted mean codeword length in bits."""
         total = sum(frequencies.values())

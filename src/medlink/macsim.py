@@ -75,6 +75,12 @@ class MacParameters:
     retx_factor: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name.endswith("_bytes") and value < 0:
+                raise ValueError(f"{f.name} cannot be negative, got {value}")
         if self.phy_rate <= 0 or self.control_rate <= 0:
             raise ValueError("rates must be positive")
         if not self.sifs > 0:
@@ -141,7 +147,10 @@ def control_airtime(params: MacParameters, frame_bytes: int) -> float:
 
 
 def _ns(us: float) -> int:
-    return round(us * 1000.0)
+    try:
+        return round(us * 1000.0)
+    except OverflowError:
+        raise ValueError(f"a MAC duration of {us} us is out of range") from None
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,27 @@ def test_simulate_custom_mac_config(tmp_path):
     assert main(["simulate", "--mac-config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ("phy_rate = 1e-300", "duration of inf us is out of range"),
+        ("control_rate = 1e-300", "us is out of range"),
+        ("mean_backoff_slots = inf", "mean_backoff_slots must be finite"),
+        ("phy_rate = nan", "phy_rate must be finite"),
+        ("plcp_overhead = nan", "plcp_overhead must be finite"),
+        ("slot_time = inf", "slot_time must be finite"),
+        ("mac_header_bytes = -1000", "mac_header_bytes cannot be negative"),
+    ],
+)
+def test_hostile_mac_config_is_a_usage_error(tmp_path, capsys, config, message):
+    # these raised OverflowError, named no field, or printed negative times
+    mac = tmp_path / "hostile.mac"
+    mac.write_text(config + "\n")
+    assert main(["simulate", "--mac-config", str(mac), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_simulate_accepts_compressed_file(tmp_path):
     assert main(["compress", "--input", SPEC_SMALL, "--out", str(tmp_path)]) == 0
     wbc = tmp_path / f"{NAME_SMALL}.wbc"

@@ -229,12 +229,13 @@ def test_synth_image_refuses_sizes_above_the_sample_ceiling():
 
 
 def test_decompress_of_zero_level_stream_is_an_error():
-    # from_bytes rejects such a container; a stream built in memory must
-    # still fail as a DecodeError
-    stream = compress(synth_image("blobs", 16, 16, bit_depth=8, seed=1), lossless=True)
-    stream.levels, stream.steps = 0, (1,)
-    with pytest.raises(DecodeError, match="levels"):
-        decompress(stream)
+    # from_bytes rejects such containers (no levels, or too deep for the
+    # image); a stream built in memory must still fail as a DecodeError
+    for levels, message in [(0, "levels must be"), (5, "5 levels too deep")]:
+        stream = compress(synth_image("blobs", 16, 16, bit_depth=8, seed=1), lossless=True)
+        stream.levels, stream.steps = levels, (1,) * (1 + 3 * levels)
+        with pytest.raises(DecodeError, match=message):
+            decompress(stream)
 
 
 def test_stream_records_quantizer_and_geometry():
@@ -392,4 +393,4 @@ def test_decompress_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 23 * img.pixels.nbytes
+    assert peak <= 20 * img.pixels.nbytes

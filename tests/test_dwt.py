@@ -1,8 +1,8 @@
 """Transform tests, checked against a direct per-definition implementation.
 
-The oracle below evaluates the lifting equations sample by sample on a
-symmetrically extended signal, with no slicing shortcuts, so agreement
-with the vectorized transform is meaningful.
+The oracles below evaluate the lifting equations, forward and inverse,
+sample by sample on a symmetrically extended signal, with no slicing
+shortcuts, so agreement with the vectorized transform is meaningful.
 """
 
 import tracemalloc
@@ -39,6 +39,34 @@ def _ref_analyze_1d(x):
     d = [detail(k) for k in range(n_odd)]
     s = [xe(2 * k) + (detail(k - 1) + detail(k) + 2) // 4 for k in range(n_even)]
     return s, d
+
+
+def _ref_synthesize_1d(s, d):
+    n = len(s) + len(d)
+
+    def de(k):
+        # detail k sits at sample 2k+1; reflect there, then map back
+        return d[(_reflect(2 * k + 1, n) - 1) // 2]
+
+    x = [None] * n
+    for k in range(len(s)):
+        x[2 * k] = s[k] - (de(k - 1) + de(k) + 2) // 4
+    for k in range(len(d)):
+        x[2 * k + 1] = d[k] + (x[2 * k] + x[_reflect(2 * k + 2, n)]) // 2
+    return x
+
+
+def _ref_inverse(ll, details, bit_depth):
+    def cols(top, bottom):
+        done = [_ref_synthesize_1d(list(s), list(d)) for s, d in zip(zip(*top), zip(*bottom))]
+        return list(map(list, zip(*done)))
+
+    cur = ll
+    for hl, lh, hh in reversed(details):
+        left, right = cols(cur, lh), cols(hl, hh)
+        cur = [_ref_synthesize_1d(s, d) for s, d in zip(left, right)]
+    max_sample = (1 << bit_depth) - 1
+    return [[min(max(v, 0), max_sample) for v in row] for row in cur]
 
 
 def _ref_forward(pixels, levels):
@@ -91,6 +119,26 @@ def test_matches_reference_on_random_images(w, h, levels):
     assert [plane.tolist() for plane in details] == [
         plane for bands in ref_details for plane in bands
     ]
+
+
+@pytest.mark.parametrize(
+    "w,h,levels", [(8, 8, 1), (7, 5, 2), (12, 9, 2), (16, 11, 3), (9, 16, 3)]
+)
+def test_inverse_matches_reference_on_arbitrary_streams(w, h, levels):
+    # lossy decodes feed the inverse streams no in-range image produces:
+    # perturb a real pyramid everywhere, and make a few coefficients huge
+    # so that most samples still land inside the clamp and are compared
+    rng = np.random.default_rng(w * 1000 + h * 10 + levels)
+    pixels = rng.integers(1 << 14, 3 << 14, size=(h, w))
+    stream = dwt_forward(GrayImage(w, h, 16, pixels), levels).coefficients
+    stream += rng.integers(-999, 999, size=w * h, endpoint=True)
+    huge = rng.choice(w * h, size=max(2, w * h // 50), replace=False)
+    stream[huge] = rng.integers(-(1 << 40), 1 << 40, size=huge.size, endpoint=True)
+    pyr = SubbandPyramid(levels, w, h, 16, stream)
+    ll, *details = (plane.tolist() for plane in pyr.plane_arrays())
+    per_level = [details[i : i + 3] for i in range(0, len(details), 3)]
+    expected = _ref_inverse(ll, per_level, 16)
+    assert dwt_inverse(pyr).pixels.tolist() == expected
 
 
 def test_constant_image_has_zero_details():
@@ -179,6 +227,19 @@ def test_forward_peak_memory_is_bounded():
     tracemalloc.start()
     try:
         dwt_forward(img, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * img.pixels.nbytes
+
+
+def test_inverse_peak_memory_is_bounded():
+    # one full-size output and half-size neighbour sums per lifting step
+    img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
+    pyr = dwt_forward(img, 3)
+    tracemalloc.start()
+    try:
+        dwt_inverse(pyr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

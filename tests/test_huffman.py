@@ -123,7 +123,7 @@ def test_code_rebuilt_from_lengths_decodes_the_same():
     code = huffman_build(freqs)
     payload, nbits = huffman_encode([1, 2, 5, -4, 2], code)
     rebuilt = HuffmanCode(dict(code.lengths))
-    assert rebuilt == code
+    assert rebuilt.lengths == code.lengths
     assert huffman_decode(payload, nbits, rebuilt).tolist() == [1, 2, 5, -4, 2]
 
 

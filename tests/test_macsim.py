@@ -74,6 +74,23 @@ def test_parameter_invariants_enforced():
         replace(PROFILE_11B, phy_rate=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("phy_rate", float("nan")),
+        ("control_rate", float("inf")),
+        ("slot_time", float("inf")),
+        ("plcp_overhead", float("nan")),
+        ("mean_backoff_slots", float("inf")),
+        ("mac_header_bytes", -1000),
+        ("cf_poll_extra_bytes", -1),
+    ],
+)
+def test_non_finite_and_negative_byte_fields_are_named(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        replace(PROFILE_11B, **{field: value})
+
+
 def test_dcf_single_packet_expansion():
     """One full block at 11 Mb/s, retransmission factor 2, zero backoff."""
     plan = fragment(512, 1024)  # a single 512-byte block

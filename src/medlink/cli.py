@@ -6,6 +6,10 @@ codec, ``simulate`` times fragmented transfers on the MAC models, and
 image. Inputs are PGM files or generator specs of the form
 ``synth:kind:WxHxD[:seed=N]``, e.g. ``synth:blobs:512x512x16:seed=3``.
 
+Options are checked as they are parsed (``type=`` converters and
+``choices``), before any input is read: a bad option puts argparse's usage
+line and message on stderr and ``main`` returns 2.
+
 Exit codes: 0 success, 1 feasibility check requested and failed,
 2 usage or input error, 3 codec failure. All CSV output is deterministic
 byte for byte for a given input and option set.
@@ -17,7 +21,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import codec, macsim, metrics, synth, transport
@@ -43,24 +46,30 @@ DEFAULT_MODALITIES = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Validated options of one CLI invocation."""
+def _checked_float(ok, rule: str):
+    """A ``type=`` converter: a float for which ``ok`` holds, else a usage error."""
 
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    target_cr: float = codec.DEFAULT_TARGET_CR
-    levels: int = codec.DEFAULT_LEVELS
-    lossless: bool = False
-    blocksize: int = 512
-    scenarios: tuple[str, ...] = macsim.SCENARIOS
-    phy: tuple[str, ...] = ("11b", "11g")
-    mac_config: str | None = None
-    fps: float = 10.0
-    out_dir: Path = Path(".")
-    require_feasible: bool = False
-    cr_points: list[float] = field(default_factory=list)
-    ascii_output: bool = False
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+        if not ok(value):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"{value:g} must be {rule}")
+        return value
+
+    return convert
+
+
+_ratio = _checked_float(lambda v: v >= 1.0, ">= 1")
+_positive = _checked_float(lambda v: v > 0, "positive")
+
+
+def _rate_points(text: str) -> list[float]:
+    try:
+        return metrics.check_rate_points(p for p in text.split(",") if p.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,11 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--out", default=".", help="output directory (default: .)")
+        p.add_argument("--out", type=Path, default=".",
+                       help="output directory (default: .)")
 
     p_comp = sub.add_parser("compress", help="compress a PGM image")
     p_comp.add_argument("--input", required=True, help="PGM file or synth spec")
-    p_comp.add_argument("--cr", type=float, default=codec.DEFAULT_TARGET_CR,
+    p_comp.add_argument("--cr", type=_ratio, default=codec.DEFAULT_TARGET_CR,
                         help="target compression ratio (default 20)")
     p_comp.add_argument("--levels", type=int, default=codec.DEFAULT_LEVELS,
                         help="decomposition levels (default 3)")
@@ -85,15 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompress", help="reconstruct a PGM from a compressed file")
     p_dec.add_argument("--input", required=True, help="compressed (.wbc) file")
-    p_dec.add_argument("--ascii", action="store_true", dest="ascii_output",
+    p_dec.add_argument("--ascii", action="store_true",
                        help="write ASCII (P2) instead of binary PGM")
     add_common(p_dec)
 
     p_sim = sub.add_parser("simulate", help="time image transfers on the MAC models")
-    p_sim.add_argument("--input", action="append", default=None,
+    p_sim.add_argument("--input", action="append", default=[],
                        help="image, compressed file or synth spec; repeatable "
                             "(default: the three reference geometries)")
-    p_sim.add_argument("--cr", type=float, default=codec.DEFAULT_TARGET_CR,
+    p_sim.add_argument("--cr", type=_ratio, default=codec.DEFAULT_TARGET_CR,
                        help="ratio used to size images that are not .wbc files")
     p_sim.add_argument("--levels", type=int, default=codec.DEFAULT_LEVELS)
     p_sim.add_argument("--blocksize", type=int, default=512,
@@ -104,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="parameter profile (default: MEDLINK_PROFILE or all)")
     p_sim.add_argument("--mac-config", default=None,
                        help="key=value file overriding MAC parameters")
-    p_sim.add_argument("--fps", type=float, default=10.0,
+    p_sim.add_argument("--fps", type=_positive, default=10.0,
                        help="image cadence the feasibility column checks")
     p_sim.add_argument("--require-feasible", action="store_true",
                        help="exit 1 unless every timed row sustains --fps")
@@ -112,53 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="rate-distortion and fragmentation tables")
     p_swp.add_argument("--input", required=True, help="PGM file or synth spec")
-    p_swp.add_argument("--cr-points", required=True,
+    p_swp.add_argument("--cr-points", type=_rate_points, required=True,
                        help="comma-separated ascending target ratios")
-    p_swp.add_argument("--cr", type=float, default=codec.DEFAULT_TARGET_CR,
+    p_swp.add_argument("--cr", type=_ratio, default=codec.DEFAULT_TARGET_CR,
                        help="ratio for the fragmentation table")
     p_swp.add_argument("--levels", type=int, default=codec.DEFAULT_LEVELS)
     add_common(p_swp)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.out_dir = Path(args.out)
-    if getattr(args, "levels", None) is not None:
-        cfg.levels = args.levels
-    if getattr(args, "cr", None) is not None:
-        if not args.cr >= 1.0:  # also rejects NaN
-            raise ValueError(f"--cr {args.cr:g} must be >= 1")
-        cfg.target_cr = args.cr
-    cfg.lossless = getattr(args, "lossless", False)
-    cfg.ascii_output = getattr(args, "ascii_output", False)
-    inputs = getattr(args, "input", None)
-    if inputs is not None:
-        cfg.inputs = inputs if isinstance(inputs, list) else [inputs]
-    if args.command == "simulate":
-        cfg.blocksize = args.blocksize
-        if not args.fps > 0:
-            raise ValueError(f"--fps {args.fps:g} must be positive")
-        cfg.fps = args.fps
-        cfg.require_feasible = args.require_feasible
-        cfg.mac_config = args.mac_config
-        cfg.scenarios = (
-            macsim.SCENARIOS if args.scenario == "all" else (args.scenario,)
-        )
-        phy = args.phy
-        if phy is None:
-            env = os.environ.get(macsim.PROFILE_ENV_VAR)
-            if env is not None and env not in macsim.PROFILES:
-                raise ValueError(
-                    f"{macsim.PROFILE_ENV_VAR}={env!r} is not a known profile"
-                )
-            phy = env or "all"
-        cfg.phy = ("11b", "11g") if phy == "all" else (phy,)
-    if args.command == "sweep":
-        cfg.cr_points = metrics.check_rate_points(
-            p for p in args.cr_points.split(",") if p.strip()
-        )
-    return cfg
 
 
 def _parse_synth_spec(spec: str) -> tuple[str, GrayImage]:
@@ -201,18 +171,18 @@ def _bool_csv(value: bool) -> str:
     return "true" if value else "false"
 
 
-def cmd_compress(cfg: RunConfig) -> int:
-    name, image = _load_image(cfg.inputs[0])
+def cmd_compress(args: argparse.Namespace) -> int:
+    name, image = _load_image(args.input)
     start = time.perf_counter()
     stream = codec.compress(
-        image, target_cr=cfg.target_cr, levels=cfg.levels, lossless=cfg.lossless
+        image, target_cr=args.cr, levels=args.levels, lossless=args.lossless
     )
     elapsed = time.perf_counter() - start
     recon = codec.decompress(stream)
     report = metrics.quality_report(image, recon, stream.bit_length)
-    _write_file(cfg.out_dir / f"{name}.wbc", stream.to_bytes())
+    _write_file(args.out / f"{name}.wbc", stream.to_bytes())
     _write_file(
-        cfg.out_dir / f"{name}_quality.csv",
+        args.out / f"{name}_quality.csv",
         f"{metrics.QualityReport.CSV_HEADER}\n{report.csv_row()}\n",
     )
     print(
@@ -222,115 +192,116 @@ def cmd_compress(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_decompress(cfg: RunConfig) -> int:
-    path = Path(cfg.inputs[0])
+def cmd_decompress(args: argparse.Namespace) -> int:
+    path = Path(args.input)
     stream = CompressedBitstream.from_bytes(path.read_bytes())
     image = codec.decompress(stream)
-    out = cfg.out_dir / f"{path.stem}.pgm"
-    _write_file(out, save_pgm(image, ascii_format=cfg.ascii_output))
+    out = args.out / f"{path.stem}.pgm"
+    _write_file(out, save_pgm(image, ascii_format=args.ascii))
     print(f"{out}: {image.width}x{image.height}, {image.bit_depth} bit")
     return EXIT_OK
 
 
-def _sized_inputs(cfg: RunConfig) -> list[tuple[str, int, int, int]]:
+def _sized_inputs(args: argparse.Namespace) -> list[tuple[str, int, int, int]]:
     """Resolve simulate inputs to (name, width, height, container bytes)."""
     sized = []
-    if not cfg.inputs:
+    if not args.input:
         for name, w, h, depth in DEFAULT_MODALITIES:
-            nbytes = transport.nominal_compressed_bytes(w, h, depth, cfg.target_cr)
+            nbytes = transport.nominal_compressed_bytes(w, h, depth, args.cr)
             if nbytes < 1:
                 raise ValueError(
-                    f"--cr {cfg.target_cr:g} leaves no bytes for a {w}x{h}x{depth} image"
+                    f"--cr {args.cr:g} leaves no bytes for a {w}x{h}x{depth} image"
                 )
             sized.append((name, w, h, nbytes))
         return sized
-    for spec in cfg.inputs:
+    for spec in args.input:
         if spec.endswith(".wbc"):
             data = Path(spec).read_bytes()
             stream = CompressedBitstream.from_bytes(data)
             sized.append((Path(spec).stem, stream.width, stream.height, len(data)))
         else:
             name, image = _load_image(spec)
-            stream = codec.compress(
-                image, target_cr=cfg.target_cr, levels=cfg.levels, lossless=cfg.lossless
-            )
+            stream = codec.compress(image, target_cr=args.cr, levels=args.levels)
             sized.append((name, image.width, image.height, stream.byte_length))
     return sized
 
 
-def _mac_parameter_sets(cfg: RunConfig) -> list[tuple[str, macsim.MacParameters]]:
-    if cfg.mac_config is not None:
-        base = macsim.PROFILES[cfg.phy[0]] if len(cfg.phy) == 1 else None
-        params = macsim.load_mac_config(Path(cfg.mac_config).read_text(), base=base)
+def _mac_parameter_sets(
+    args: argparse.Namespace,
+) -> list[tuple[str, macsim.MacParameters]]:
+    """--phy, else MEDLINK_PROFILE, else both profiles; --mac-config on top."""
+    phy = args.phy
+    if phy is None:
+        env = os.environ.get(macsim.PROFILE_ENV_VAR)
+        if env is not None and env not in macsim.PROFILES:
+            raise ValueError(f"{macsim.PROFILE_ENV_VAR}={env!r} is not a known profile")
+        phy = env or "all"
+    if args.mac_config is not None:
+        base = None if phy == "all" else macsim.PROFILES[phy]
+        params = macsim.load_mac_config(Path(args.mac_config).read_text(), base=base)
         return [("custom", params)]
-    return [(name, macsim.PROFILES[name]) for name in cfg.phy]
+    names = macsim.PROFILES if phy == "all" else (phy,)
+    return [(name, macsim.PROFILES[name]) for name in names]
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    sized = _sized_inputs(cfg)
-    parameter_sets = _mac_parameter_sets(cfg)
-    rows = []
-    results = []
+def cmd_simulate(args: argparse.Namespace) -> int:
+    parameter_sets = _mac_parameter_sets(args)
+    sized = _sized_inputs(args)
+    scenarios = macsim.SCENARIOS if args.scenario == "all" else (args.scenario,)
+    rows, results = [], []
     for name, width, height, nbytes in sized:
-        plan = transport.fragment(nbytes, cfg.blocksize)
+        plan = transport.fragment(nbytes, args.blocksize)
         for phy_name, params in parameter_sets:
-            for scenario in cfg.scenarios:
+            for scenario in scenarios:
                 res = macsim.simulate(scenario, plan, params)
                 results.append((name, phy_name, res))
                 rows.append(
                     f"{name},{width},{height},{phy_name},{scenario},"
-                    f"{cfg.blocksize},{res.packet_count},{plan.total_payload_bytes},"
+                    f"{args.blocksize},{res.packet_count},{plan.total_payload_bytes},"
                     f"{res.total_ms:.3f},{res.effective_throughput / 1e6:.3f},"
-                    f"{res.fps_capacity:.3f},{cfg.fps:g},"
-                    f"{_bool_csv(res.supports_fps(cfg.fps))}"
+                    f"{res.fps_capacity:.3f},{args.fps:g},"
+                    f"{_bool_csv(res.supports_fps(args.fps))}"
                 )
     _write_file(
-        cfg.out_dir / "timing.csv", _TIMING_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+        args.out / "timing.csv", _TIMING_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     )
-    _print_timing_table(cfg, sized, parameter_sets, results)
-    if cfg.require_feasible and any(
-        not res.supports_fps(cfg.fps) for _, _, res in results
+    _print_timing_table(args.blocksize, scenarios, sized, parameter_sets, results)
+    if args.require_feasible and any(
+        not res.supports_fps(args.fps) for _, _, res in results
     ):
-        print(f"infeasible: not every transfer sustains {cfg.fps:g} images/s",
+        print(f"infeasible: not every transfer sustains {args.fps:g} images/s",
               file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
-def _print_timing_table(cfg, sized, parameter_sets, results):
+def _print_timing_table(blocksize, scenarios, sized, parameter_sets, results):
     by_key = {(n, p, r.scenario): r for n, p, r in results}
     for phy_name, params in parameter_sets:
         rate_mbit = params.phy_rate / 1e6
         print(
-            f"# {phy_name}: {rate_mbit:g} Mb/s, blocksize {cfg.blocksize}, "
+            f"# {phy_name}: {rate_mbit:g} Mb/s, blocksize {blocksize}, "
             f"retx {params.retx_factor}, times in ms"
         )
-        header = f"{'image':<14}{'packets':>8}" + "".join(
-            f"{s:>12}" for s in cfg.scenarios
-        )
-        print(header)
-        for name, _width, _height, _nbytes in sized:
-            cells = ""
-            packets = None
-            for scenario in cfg.scenarios:
-                res = by_key[(name, phy_name, scenario)]
-                packets = res.packet_count
-                cells += f"{res.total_ms:>12.3f}"
-            print(f"{name:<14}{packets:>8}{cells}")
+        print(f"{'image':<14}{'packets':>8}" + "".join(f"{s:>12}" for s in scenarios))
+        for name, *_ in sized:
+            row = [by_key[(name, phy_name, s)] for s in scenarios]
+            cells = "".join(f"{res.total_ms:>12.3f}" for res in row)
+            print(f"{name:<14}{row[-1].packet_count:>8}{cells}")
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    name, image = _load_image(cfg.inputs[0])
-    points = metrics.rate_distortion_sweep(image, cfg.cr_points, levels=cfg.levels)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    name, image = _load_image(args.input)
+    points = metrics.rate_distortion_sweep(image, args.cr_points, levels=args.levels)
     rd_rows = "\n".join(p.csv_row() for p in points)
     _write_file(
-        cfg.out_dir / f"{name}_rd.csv",
+        args.out / f"{name}_rd.csv",
         f"{metrics.RatePoint.CSV_HEADER}\n{rd_rows}\n",
     )
     achieved = sum(1 for p in points if p.error is None)
     print(f"{name}: {achieved}/{len(points)} rate points achieved")
 
-    stream = codec.compress(image, target_cr=cfg.target_cr, levels=cfg.levels)
+    stream = codec.compress(image, target_cr=args.cr, levels=args.levels)
     frag_rows = []
     for blocksize in transport.BLOCKSIZES:
         plan = transport.fragment(stream.byte_length, blocksize)
@@ -341,7 +312,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"{res.total_ms:.3f},{res.effective_throughput / 1e6:.3f}"
             )
     _write_file(
-        cfg.out_dir / f"{name}_frag.csv",
+        args.out / f"{name}_frag.csv",
         _FRAG_CSV_HEADER + "\n" + "\n".join(frag_rows) + "\n",
     )
     return EXIT_OK
@@ -356,17 +327,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage line and message already on stderr
+        return exc.code
     # BitstreamError and MetricsError subclass ValueError, so codec-side
     # failures must be matched before the generic usage clause
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -293,8 +293,8 @@ def decompress(stream: CompressedBitstream) -> GrayImage:
         raise DecodeError(f"payload does not decode: {exc}") from exc
     flat = _detokenize(tokens, stream.width * stream.height)
     del tokens
-    config = QuantizerConfig(steps=stream.steps)
     try:
+        config = QuantizerConfig(steps=stream.steps)
         pyramid = SubbandPyramid(
             stream.levels, stream.width, stream.height, stream.bit_depth, flat
         )
@@ -303,4 +303,4 @@ def decompress(stream: CompressedBitstream) -> GrayImage:
         del pyramid  # frees the decoded stream before the inverse transform
         return dwt_inverse(coefficients)
     except ValueError as exc:
-        raise DecodeError(f"inconsistent subband geometry: {exc}") from exc
+        raise DecodeError(f"inconsistent stream header: {exc}") from exc

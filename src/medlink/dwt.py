@@ -10,8 +10,9 @@ quantization the inverse clamps reconstructed samples to the image's range.
 Odd extents split as ceil(n/2) low / floor(n/2) high samples per axis. A
 level lifts rows (through the transposed view), then columns, producing
 four row-major quadrants; the low-low quadrant feeds the next level.
-``SubbandPyramid`` makes the one geometry check, 1 <= levels and
-2**levels <= min(width, height), so every lifted extent has two samples.
+One geometry check, 1 <= levels and 2**levels <= min(width, height), so
+every lifted extent has two samples; ``dwt_forward`` makes it before it
+copies the image, ``SubbandPyramid`` on construction.
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ class SubbandPyramid:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("levels must be at least 1")
-        if 2**self.levels > min(self.width, self.height):
-            raise ValueError(
-                f"{self.levels} levels too deep for a {self.width}x{self.height} image"
-            )
+        _check_levels(self.levels, self.width, self.height)
         if self.coefficients.shape != (self.width * self.height,):
             raise ValueError(
                 f"coefficient stream of shape {self.coefficients.shape}, "
@@ -68,6 +64,14 @@ class SubbandPyramid:
             planes.append(self.coefficients[start:end].reshape(rows, cols))
             start = end
         return planes
+
+
+def _check_levels(levels: int, width: int, height: int):
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    # 2**levels > min(width, height), without computing the power
+    if levels >= min(width, height).bit_length():
+        raise ValueError(f"{levels} levels too deep for a {width}x{height} image")
 
 
 def subband_shapes(width: int, height: int, levels: int):
@@ -124,6 +128,7 @@ def _synthesize(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 def dwt_forward(image: GrayImage, levels: int) -> SubbandPyramid:
     """Decompose an image into a pyramid of ``levels`` levels."""
+    _check_levels(levels, image.width, image.height)  # before the copy
     # the image's copy becomes the stream: a level's row pass is the last
     # read of its input, so level 1 writes its detail planes over the image
     stream = image.pixels.astype(np.int64, order="C").reshape(-1)

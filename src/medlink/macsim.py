@@ -77,7 +77,11 @@ class MacParameters:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("float", float) and not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if f.name.endswith("_bytes") and value < 0:
                 raise ValueError(f"{f.name} cannot be negative, got {value}")
@@ -146,11 +150,15 @@ def control_airtime(params: MacParameters, frame_bytes: int) -> float:
     return params.plcp_overhead + 8e6 * frame_bytes / params.control_rate
 
 
+def _out_of_range(us) -> ValueError:
+    return ValueError(f"a MAC duration of {us} us is out of range")
+
+
 def _ns(us: float) -> int:
     try:
         return round(us * 1000.0)
     except OverflowError:
-        raise ValueError(f"a MAC duration of {us} us is out of range") from None
+        raise _out_of_range(us) from None
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,10 @@ class ScenarioResult:
 
 
 def _finish(scenario: str, packet_ns: list[int], plan: FragmentationPlan) -> ScenarioResult:
-    per_packet = tuple(ns / 1000.0 for ns in packet_ns)
+    try:
+        per_packet = tuple(ns / 1000.0 for ns in packet_ns)
+    except OverflowError:
+        raise _out_of_range(max(packet_ns) // 1000) from None
     total = sum(per_packet)
     payload_bits = 8 * plan.total_payload_bytes
     return ScenarioResult(

@@ -140,6 +140,30 @@ def test_ratio_below_one_is_a_usage_error(tmp_path, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--blocksize", "999"],
+    ["simulate", "--scenario", "warp"],
+    ["compress"],
+])
+def test_argparse_usage_error_is_a_return_value(tmp_path, capsys, command):
+    assert main([*command, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage: medlink")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,message", [
+    (["simulate", "--fps", "0"], "argument --fps: 0 must be positive"),
+    (["simulate", "--cr", "abc"], "argument --cr: 'abc' is not a number"),
+    (["compress", "--input", SPEC_SMALL, "--cr", "nan"], "argument --cr: nan must be >= 1"),
+    (["sweep", "--input", SPEC_SMALL, "--cr-points", "20,10"],
+     "argument --cr-points: rate points must be strictly ascending"),
+])
+def test_option_check_names_the_option_once(tmp_path, capsys, command, message):
+    assert main([*command, "--out", str(tmp_path)]) == 2
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line == f"medlink {command[0]}: error: {message}"
+
+
 @pytest.mark.parametrize("cr", ["inf", "1e300"])
 def test_simulate_ratio_too_high_for_any_byte_is_a_usage_error(tmp_path, capsys, cr):
     assert main(["simulate", "--cr", cr, "--out", str(tmp_path)]) == 2
@@ -191,6 +215,10 @@ def test_simulate_custom_mac_config(tmp_path):
         ("plcp_overhead = nan", "plcp_overhead must be finite"),
         ("slot_time = inf", "slot_time must be finite"),
         ("mac_header_bytes = -1000", "mac_header_bytes cannot be negative"),
+        pytest.param("mac_header_bytes = 1" + "0" * 400,
+                     "mac_header_bytes must be finite", id="mac_header_bytes=1e400"),
+        pytest.param("retx_factor = 1" + "0" * 306, "us is out of range",
+                     id="retx_factor=1e306"),
     ],
 )
 def test_hostile_mac_config_is_a_usage_error(tmp_path, capsys, config, message):

@@ -229,13 +229,32 @@ def test_synth_image_refuses_sizes_above_the_sample_ceiling():
 
 
 def test_decompress_of_zero_level_stream_is_an_error():
-    # from_bytes rejects such containers (no levels, or too deep for the
-    # image); a stream built in memory must still fail as a DecodeError
-    for levels, message in [(0, "levels must be"), (5, "5 levels too deep")]:
+    # from_bytes rejects such containers (no levels, too deep for the image,
+    # a zero step or a step table of the wrong length); a stream built in
+    # memory must still fail as a DecodeError
+    for levels, steps, message in [
+        (0, (1,), "levels must be"),
+        (5, (1,) * 16, "5 levels too deep"),
+        (3, (1,) * 9 + (0,), "quantizer steps must be >= 1"),
+        (3, (1,) * 9, "step table needs 1 \\+ 3\\*levels entries"),
+    ]:
         stream = compress(synth_image("blobs", 16, 16, bit_depth=8, seed=1), lossless=True)
-        stream.levels, stream.steps = levels, (1,) * (1 + 3 * levels)
+        stream.levels, stream.steps = levels, steps
         with pytest.raises(DecodeError, match=message):
             decompress(stream)
+
+
+@pytest.mark.parametrize("levels", [10, 10**9])
+def test_too_deep_levels_are_rejected_before_the_image_is_copied(levels):
+    img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{levels} levels too deep"):
+            compress(img, target_cr=20.0, levels=levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * img.pixels.nbytes
 
 
 def test_stream_records_quantizer_and_geometry():

@@ -84,6 +84,9 @@ def test_parameter_invariants_enforced():
         ("mean_backoff_slots", float("inf")),
         ("mac_header_bytes", -1000),
         ("cf_poll_extra_bytes", -1),
+        # integers too large for a float
+        pytest.param("mac_header_bytes", 10**400, id="mac_header_bytes-1e400"),
+        pytest.param("retx_factor", 10**400, id="retx_factor-1e400"),
     ],
 )
 def test_non_finite_and_negative_byte_fields_are_named(field, value):

@@ -6,9 +6,10 @@ encoded size meets the requested compression ratio. It bisects the
 whole grid, scale 1.0 included, so there is no separate lossless probe.
 A probe's exact size comes from each plane's table of distinct values
 (quantized in place of the plane) and a zero mask from one magnitude
-compare per plane; symbol frequencies, the Huffman code lengths and the
-header follow from those. No quantized plane, token array or payload
-exists until the chosen config is encoded. ``decompress`` inverts the
+compare per plane; symbol counts, the Huffman code lengths, the payload
+bits (``lengths @ counts``) and the header follow from those. No quantized
+plane, token array, Huffman code or payload exists until the chosen
+config is encoded, once per ``compress``. ``decompress`` inverts the
 whole chain; with all quantizer steps at 1 the round trip is bit-exact.
 Coefficients travel as int32 from ``dwt_forward`` to the inverse; the
 decoder clamps dequantized values to ``dwt.COEFFICIENT_BOUND``, which no
@@ -29,6 +30,7 @@ from .dwt import SubbandPyramid, dwt_forward, dwt_inverse
 from .huffman import (
     HuffmanCode,
     HuffmanError,
+    code_lengths,
     huffman_build,
     huffman_decode,
     huffman_encode,
@@ -132,11 +134,9 @@ def _value_table(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarr
     return distinct, np.bincount(inverse, weights=weights).astype(np.int64)
 
 
-def _frequencies(symbols: np.ndarray, weights=None) -> dict[int, int]:
-    """Symbol -> occurrence count (or -> sum of ``weights``)."""
-    if symbols.size == 0:
-        return {}
-    values, counts = _value_table(symbols, weights)
+def _frequencies(symbols: np.ndarray) -> dict[int, int]:
+    """Symbol -> occurrence count of a nonempty array."""
+    values, counts = _value_table(symbols)
     return dict(zip(values.tolist(), counts.tolist()))
 
 
@@ -158,9 +158,9 @@ class _ProbeSizer:
         self.bounds = np.cumsum([0] + [plane.size for plane in planes]).tolist()
         self.magnitudes = np.abs(pyramid.coefficients)
 
-    def frequencies(self, config: QuantizerConfig) -> dict[int, int]:
-        """Token frequencies, equal to ``_frequencies`` of the tokenized,
-        quantized stream."""
+    def frequencies(self, config: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Token symbols in ascending order with their counts, equal to
+        ``_frequencies`` of the tokenized, quantized stream."""
         zero = np.empty(self.magnitudes.size, dtype=bool)
         symbols, weights = [], []
         for (values, counts), step, lo, hi in zip(
@@ -181,13 +181,13 @@ class _ProbeSizer:
             lengths, runs = _value_table(run_lengths)
             symbols += [lengths, np.zeros(1, lengths.dtype)]
             weights += [runs, np.array([run_lengths.size])]
-        return _frequencies(np.concatenate(symbols), np.concatenate(weights))
+        return _value_table(np.concatenate(symbols), np.concatenate(weights))
 
     def size(self, config: QuantizerConfig) -> tuple[int, int]:
         """(total container bits, payload bits) under ``config``."""
-        freqs = self.frequencies(config)
-        code = huffman_build(freqs)
-        payload_bits = sum(code.lengths[s] * f for s, f in freqs.items())
+        symbols, counts = self.frequencies(config)
+        lengths = code_lengths(counts)
+        payload_bits = int(lengths @ counts)
         pyramid = self.pyramid
         header = pack_header(
             pyramid.width,
@@ -195,7 +195,7 @@ class _ProbeSizer:
             pyramid.bit_depth,
             config.levels,
             config.steps,
-            code.lengths,
+            dict(zip(symbols.tolist(), lengths.tolist())),
             payload_bits,
         )
         return (len(header) + (payload_bits + 7) // 8) * 8, payload_bits

@@ -1,22 +1,27 @@
 """Canonical Huffman coding over integer symbol alphabets.
 
-Code lengths come from the usual two-least-frequent merge; codewords are
-then reassigned canonically, in (length, symbol) order, so a code is fully
-described by its symbol-to-length table. That is what the bitstream
-container stores. A single-symbol alphabet gets a 1-bit code by
-convention, so every encoded stream has positive length.
+``code_lengths`` is the one length builder, a two-queue merge (van
+Leeuwen, "On the construction of Huffman trees", ICALP 1976): rate-control
+probes price a code as ``lengths @ counts`` from it alone, and
+``huffman_build`` turns its lengths into a code. Codewords are assigned
+canonically, in (length, symbol) order, so a code is fully described by
+its symbol-to-length table. That is what the bitstream container stores.
+A single-symbol alphabet gets a 1-bit code by convention, so every
+encoded stream has positive length.
 
-Decoding needs no codeword table (Moffat and Turpin, "On the
-implementation of minimum redundancy prefix codes", IEEE Trans. Commun.
-45(10), 1997). Read as an L-bit number, L the longest code length, the
-window at a codeword's start lies below the left-justified limit
-``(first code + count) << (L - length)`` of its own length and of no
-shorter one, so ``np.searchsorted`` over the L limits gives the length
-of the codeword starting at every bit position. The payload is handled
-in chunks of ``_CHUNK_BITS`` positions to bound the temporaries. One
-Python step per symbol then walks the starts, each length pointing to
-the next, and the symbols follow from the windows at the starts
-alone: index ``base + code - first`` in (length, symbol) order.
+A ``HuffmanCode`` builds its per-length tables once (Moffat and Turpin,
+"On the implementation of minimum redundancy prefix codes", IEEE Trans.
+Commun. 45(10), 1997), with one exact Kraft check per length; the
+codewords and the decoder read them. Decoding needs no codeword table.
+Read as an L-bit number, L the longest code length, the window at a
+codeword's start lies below the left-justified limit ``(first code +
+count) << (L - length)`` of its own length and of no shorter one, so
+``np.searchsorted`` over the L limits gives the length of the codeword
+starting at every bit position. The payload is handled in chunks of
+``_CHUNK_BITS`` positions to bound the temporaries. One Python step per
+symbol then walks the starts, each length pointing to the next, and the
+symbols follow from the windows at the starts alone: index
+``base + code - first`` in (length, symbol) order.
 
 Code lengths are capped at ``MAX_CODE_LENGTH`` = 57 bits, the widest
 window an 8-byte word holds after a shift of up to 7 bits. No encoder
@@ -27,7 +32,6 @@ codeword needs F(60), about 1.5e12 tokens.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 
 import numpy as np
@@ -37,6 +41,7 @@ __all__ = [
     "HuffmanCode",
     "HuffmanError",
     "HuffmanDecodeError",
+    "code_lengths",
     "huffman_build",
     "huffman_encode",
     "huffman_decode",
@@ -62,7 +67,8 @@ class HuffmanDecodeError(HuffmanError):
 
 
 class HuffmanCode:
-    """A canonical prefix code, constructed from a symbol -> length table."""
+    """A canonical prefix code, constructed from a symbol -> length table;
+    its per-length tables are built here, once."""
 
     def __init__(self, lengths: dict[int, int]):
         if not lengths:
@@ -70,24 +76,27 @@ class HuffmanCode:
         for sym, length in lengths.items():
             if not 1 <= length <= MAX_CODE_LENGTH:
                 raise HuffmanError(f"code length {length} for symbol {sym}")
-        kraft = sum(2.0 ** -length for length in lengths.values())
-        if kraft > 1.0 + 1e-9:
-            raise HuffmanError("code lengths violate the Kraft inequality")
         self.lengths = dict(sorted(lengths.items()))
-        self.max_length = max(lengths.values())
-        self.codes: dict[int, int] = {}
-        code = 0
-        prev = 0
-        for sym, length in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])):
-            code <<= length - prev
-            if code >> length:
-                raise HuffmanError("code lengths do not form a prefix code")
-            self.codes[sym] = code
-            code += 1
-            prev = length
-        self._bitstrings = {
-            sym: format(c, f"0{self.lengths[sym]}b") for sym, c in self.codes.items()
-        }
+        self.max_length = longest = max(lengths.values())
+        counts = np.bincount(list(lengths.values()), minlength=longest + 1).tolist()
+        limits, first, base = [], [0], [0]
+        next_code = 0
+        for length in range(1, longest + 1):
+            first.append(next_code)
+            base.append(base[-1] + counts[length - 1])
+            next_code += counts[length]
+            if next_code > 1 << length:  # the Kraft sum in units of 2**-length
+                raise HuffmanError("code lengths violate the Kraft inequality")
+            limits.append(next_code << (longest - length))
+            next_code <<= 1
+        # a stable sort of the symbol-ordered table: (length, symbol) order
+        ordered = sorted(self.lengths.items(), key=lambda item: item[1])
+        self.codes = {s: first[n] + i - base[n] for i, (s, n) in enumerate(ordered)}
+        self._bitstrings = {s: format(self.codes[s], f"0{n}b") for s, n in ordered}
+        self._limits = np.array(limits, dtype=np.uint64)
+        self._first = np.array(first, dtype=np.uint64)
+        self._base = np.array(base, dtype=np.uint64)
+        self._ordered = np.array([s for s, _ in ordered], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -101,38 +110,55 @@ class HuffmanCode:
         return weighted / total
 
 
+def code_lengths(counts) -> np.ndarray:
+    """Huffman code lengths (int64) of positive ``counts`` given in
+    ascending symbol order; a single symbol gets length 1.
+
+    The leaves are sorted stably by count and the merged nodes queue in
+    creation order, which is ascending weight; each merge takes the
+    lighter front twice, the leaf on a tie. That is a heap merge seeded in
+    symbol order with sequence-numbered merges, tie for tie.
+    """
+    counts = np.asarray(counts)
+    n = counts.size
+    if n == 0:
+        raise HuffmanError("empty alphabet")
+    if n == 1:
+        return np.ones(1, dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
+    leaves = counts[order].tolist()
+    # nodes 0..n-1 are the sorted leaves, n + m is the m-th merged node
+    weights = [0] * (n - 1)
+    parents = [0] * (2 * n - 2)
+    leaf = merged = 0
+    for m in range(n - 1):
+        for _ in range(2):
+            if leaf < n and (merged == m or leaves[leaf] <= weights[merged]):
+                weights[m] += leaves[leaf]
+                parents[leaf] = m
+                leaf += 1
+            else:
+                weights[m] += weights[merged]
+                parents[n + merged] = m
+                merged += 1
+    # a merged node's parent is created after it: fill depths root first
+    depths = [0] * (n - 1)
+    for m in range(n - 3, -1, -1):
+        depths[m] = depths[parents[n + m]] + 1
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = np.array(depths)[parents[:n]] + 1
+    return lengths
+
+
 def huffman_build(frequencies: dict[int, int]) -> HuffmanCode:
     """Build a canonical code from symbol frequencies.
 
     Zero-frequency entries are dropped; an empty (or all-zero) table is an
-    error. Tie-breaking is deterministic: the heap is seeded in symbol
-    order and merges are sequence-numbered.
+    error.
     """
     items = sorted((s, f) for s, f in frequencies.items() if f > 0)
-    if not items:
-        raise HuffmanError("empty alphabet")
-    if len(items) == 1:
-        return HuffmanCode({items[0][0]: 1})
-    heap = []
-    for order, (sym, freq) in enumerate(items):
-        heap.append((freq, order, sym, None, None))
-    heapq.heapify(heap)
-    order = len(heap)
-    while len(heap) > 1:
-        f1, _, s1, l1, r1 = heapq.heappop(heap)
-        f2, _, s2, l2, r2 = heapq.heappop(heap)
-        heapq.heappush(heap, (f1 + f2, order, None, (s1, l1, r1), (s2, l2, r2)))
-        order += 1
-    lengths: dict[int, int] = {}
-    stack = [(heap[0][2:5], 0)]
-    while stack:
-        (sym, left, right), depth = stack.pop()
-        if sym is not None:
-            lengths[sym] = depth
-        else:
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
-    return HuffmanCode(lengths)
+    lengths = code_lengths([f for _, f in items]).tolist()
+    return HuffmanCode({s: n for (s, _), n in zip(items, lengths)})
 
 
 def huffman_encode(symbols, code: HuffmanCode) -> tuple[bytes, int]:
@@ -154,35 +180,6 @@ def huffman_encode(symbols, code: HuffmanCode) -> tuple[bytes, int]:
     return np.packbits(arr).tobytes(), len(bits)
 
 
-def _canonical_tables(code: HuffmanCode):
-    """Per-length tables of a canonical code, for lengths 1..L.
-
-    Returns the left-justified exclusive limit of each length as an L-bit
-    number, and, indexed by length, the first code and the index of the
-    first symbol in (length, symbol) order; then the symbols in that order.
-    """
-    longest = code.max_length
-    counts = [0] * (longest + 1)
-    for length in code.lengths.values():
-        counts[length] += 1
-    limits, first, base = [], [0], [0]
-    next_code = index = 0
-    for length in range(1, longest + 1):
-        first.append(next_code)
-        base.append(index)
-        next_code += counts[length]
-        index += counts[length]
-        limits.append(next_code << (longest - length))
-        next_code <<= 1
-    ordered = sorted(code.lengths, key=lambda sym: (code.lengths[sym], sym))
-    return (
-        np.array(limits, dtype=np.uint64),
-        np.array(first, dtype=np.uint64),
-        np.array(base, dtype=np.uint64),
-        np.array(ordered, dtype=np.int64),
-    )
-
-
 def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarray:
     """Decode ``bit_length`` bits of payload back into an int64 symbol array.
 
@@ -197,7 +194,6 @@ def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarra
     if bit_length == 0:
         return np.empty(0, dtype=np.int64)
     longest = code.max_length
-    limits, first, base, ordered = _canonical_tables(code)
     # the big-endian 8-byte word at every byte offset, over zero padding
     padded = bytes(data) + bytes(8)
     words = np.ndarray((len(data) + 1,), dtype=">u8", buffer=padded, strides=(1,))
@@ -210,7 +206,7 @@ def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarra
         hi = min(lo + _CHUNK_BITS, bit_length)
         chunk = words[lo >> 3 : (hi + 7) >> 3, None]
         windows = ((chunk << _BYTE_SHIFTS) >> np.uint64(64 - longest)).ravel()
-        found = np.searchsorted(limits, windows[: hi - lo], "right")
+        found = np.searchsorted(code._limits, windows[: hi - lo], "right")
         lengths_view[lo:hi] = length_at[found]
     starts = array("q")
     append = starts.append
@@ -232,6 +228,6 @@ def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarra
     width = lengths_view[at]
     codes = np.left_shift(words[at >> 3], at & 7)
     codes >>= np.uint64(64) - width
-    codes -= first[width]
-    codes += base[width]
-    return ordered[codes]
+    codes -= code._first[width]
+    codes += code._base[width]
+    return code._ordered[codes]

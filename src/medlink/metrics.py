@@ -10,11 +10,11 @@ for modalities that occupy a fraction of their container range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .codec import CodecError, compress, decompress
+from .codec import DEFAULT_LEVELS, CodecError, compress, decompress
 from .image_io import GrayImage
 
 __all__ = [
@@ -133,12 +133,13 @@ class RatePoint:
 
     def csv_row(self) -> str:
         def cell(v):
-            return "" if v is None else str(v)
+            text = "" if v is None else str(v)
+            # RFC 4180: quote only cells that would otherwise split the row
+            if any(c in text for c in ',"\r\n'):
+                return '"' + text.replace('"', '""') + '"'
+            return text
 
-        return (
-            f"{self.target_cr},{cell(self.achieved_cr)},{cell(self.mse)},"
-            f"{cell(self.psnr_db)},{self.error or ''}"
-        )
+        return ",".join(cell(v) for v in astuple(self))
 
 
 def check_rate_points(points) -> list[float]:
@@ -155,7 +156,7 @@ def check_rate_points(points) -> list[float]:
 
 
 def rate_distortion_sweep(
-    image: GrayImage, cr_points, levels: int = 3
+    image: GrayImage, cr_points, levels: int = DEFAULT_LEVELS
 ) -> list[RatePoint]:
     """Compress at each target ratio and collect distortion figures.
 

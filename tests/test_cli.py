@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process via main()."""
 
+import csv
 import hashlib
 import math
 import os
@@ -396,6 +397,22 @@ def test_sweep_rejects_bad_rate_points(tmp_path):
     assert main([*base, "--cr-points", "0.5,2"]) == 2
     assert main([*base, "--cr-points", ","]) == 2
     assert main([*base, "--cr-points", "2,nan"]) == 2
+
+
+def test_sweep_quotes_an_error_that_holds_a_comma(tmp_path):
+    rc = main([
+        "sweep", "--input", "synth:noise:64x64x16:seed=1", "--cr-points", "2,100000",
+        "--cr", "2", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    with open(tmp_path / "noise-64x64-s1_rd.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        achieved, unreachable = list(reader)
+    assert reader.fieldnames == ["target_cr", "achieved_cr", "mse", "psnr_db", "error"]
+    assert None not in achieved and None not in unreachable  # no extra fields
+    assert achieved["error"] == "" and float(achieved["achieved_cr"]) >= 2.0
+    assert unreachable["achieved_cr"] == ""
+    assert unreachable["error"].startswith("target ratio 100000 unreachable, best ")
 
 
 # sha256 of reference outputs: a change to either is a change in the

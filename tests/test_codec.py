@@ -346,7 +346,23 @@ def test_probe_sizer_frequencies_match_tokenized_stream():
             steps = rng.choice([1, 1, 2, 3, 5, 64, 255, 1000, 4096], size=1 + 3 * levels)
             config = QuantizerConfig(tuple(steps))
             expected = _frequencies(_tokenize(quantize(pyramid, config).coefficients))
-            assert sizer.frequencies(config) == expected
+            symbols, counts = sizer.frequencies(config)
+            assert symbols.tolist() == list(expected)
+            assert counts.tolist() == list(expected.values())
+
+
+def test_compress_builds_one_huffman_code(monkeypatch):
+    builds = []
+
+    def counting(frequencies):
+        builds.append(len(frequencies))
+        return huffman_build(frequencies)
+
+    monkeypatch.setattr(codec, "huffman_build", counting)
+    img = synth_image("blobs", 64, 64, bit_depth=16, seed=1)
+    stream = compress(img, target_cr=10.0)
+    # the probes are priced from code lengths; only the final encode builds
+    assert builds == [len(stream.code_lengths)]
 
 
 def test_probe_sizer_total_bits_match_container():

@@ -6,6 +6,7 @@ property of an optimal prefix code, independent of how the tree is
 built. The decoder is checked against a plain per-bit loop.
 """
 
+import heapq
 import itertools
 import math
 import tracemalloc
@@ -13,13 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from medlink.codec import compress
+from medlink.codec import _grid_config, _ProbeSizer, compress
+from medlink.dwt import dwt_forward
 from medlink.huffman import (
     _CHUNK_BITS,
     MAX_CODE_LENGTH,
     HuffmanCode,
     HuffmanDecodeError,
     HuffmanError,
+    code_lengths,
     huffman_build,
     huffman_decode,
     huffman_encode,
@@ -169,6 +172,17 @@ def test_invalid_length_table_rejected():
         HuffmanCode({1: 0})
 
 
+def test_kraft_inequality_is_checked_exactly():
+    # 2**-1 + 2**-2 + ... + 2**-56 + 2 * 2**-57 == 1
+    complete = {sym: sym for sym in range(1, 57)} | {57: 57, 58: 57}
+    code = HuffmanCode(complete)
+    assert code.codes[58] == (1 << 57) - 1
+    payload, nbits = huffman_encode([58, 1, 57], code)
+    assert huffman_decode(payload, nbits, code).tolist() == [58, 1, 57]
+    with pytest.raises(HuffmanError, match="Kraft"):
+        HuffmanCode({**complete, 59: 57})  # 1 + 2**-57
+
+
 def test_code_lengths_are_capped():
     assert HuffmanCode({0: MAX_CODE_LENGTH, 1: 1}).max_length == MAX_CODE_LENGTH
     with pytest.raises(HuffmanError, match="code length"):
@@ -310,3 +324,62 @@ def test_decode_peak_memory_per_payload_bit():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * stream.payload_bit_length
+
+
+def _heap_lengths(freqs):
+    """Reference builder: the heap merge with leaves seeded in symbol order
+    and merges sequence-numbered, then a stack walk of the tree."""
+    items = sorted(freqs.items())
+    if len(items) == 1:
+        return {items[0][0]: 1}
+    heap = [(f, order, s, None, None) for order, (s, f) in enumerate(items)]
+    heapq.heapify(heap)
+    order = len(heap)
+    while len(heap) > 1:
+        f1, _, s1, l1, r1 = heapq.heappop(heap)
+        f2, _, s2, l2, r2 = heapq.heappop(heap)
+        heapq.heappush(heap, (f1 + f2, order, None, (s1, l1, r1), (s2, l2, r2)))
+        order += 1
+    lengths = {}
+    stack = [(heap[0][2:5], 0)]
+    while stack:
+        (sym, left, right), depth = stack.pop()
+        if sym is not None:
+            lengths[sym] = depth
+        else:
+            stack.append((left, depth + 1))
+            stack.append((right, depth + 1))
+    return lengths
+
+
+def _oracle_tables():
+    yield {5: 9}
+    for n in (2, 3, 7, 64, 1000):
+        yield dict.fromkeys(range(-n // 2, n - n // 2), 3)
+    # groups of 2**j symbols of one weight: ties within and across groups
+    for weights in ([1, 2, 4, 8], [3, 3, 6, 12, 24], [1, 1, 2, 5]):
+        counts = [w for j, w in enumerate(weights) for _ in range(1 << (j + 1))]
+        yield dict(enumerate(counts))
+    for n in range(2, 59):
+        yield _fibonacci_frequencies(n)
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        size = int(rng.integers(2, 3000))
+        counts = np.minimum(rng.zipf(float(rng.uniform(1.2, 2.5)), size=size), 10**6)
+        symbols = rng.permutation(np.arange(-size, size))[:size]
+        yield dict(zip(symbols.tolist(), counts.tolist()))
+    for kind, width, height in [("blobs", 64, 64), ("mixed", 255, 257)]:
+        img = synth_image(kind, width, height, bit_depth=16, seed=5)
+        sizer = _ProbeSizer(dwt_forward(img, 3))
+        for k in range(0, 321, 20):
+            symbols, counts = sizer.frequencies(_grid_config(k, 3))
+            yield dict(zip(symbols.tolist(), counts.tolist()))
+
+
+def test_code_lengths_equal_the_heap_builders_lengths():
+    for freqs in _oracle_tables():
+        symbols = sorted(freqs)
+        expected = _heap_lengths(freqs)
+        lengths = code_lengths([freqs[s] for s in symbols])
+        assert lengths.tolist() == [expected[s] for s in symbols]
+        assert huffman_build(freqs).lengths == expected

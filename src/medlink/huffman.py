@@ -33,6 +33,7 @@ codeword needs F(60), about 1.5e12 tokens.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,9 @@ class HuffmanDecodeError(HuffmanError):
 
 class HuffmanCode:
     """A canonical prefix code, constructed from a symbol -> length table;
-    its per-length tables are built here, once."""
+    its per-length tables are built here, once. The codeword dicts the
+    encoder reads are derived from them on first use, so a decoder never
+    builds them."""
 
     def __init__(self, lengths: dict[int, int]):
         if not lengths:
@@ -91,12 +94,23 @@ class HuffmanCode:
             next_code <<= 1
         # a stable sort of the symbol-ordered table: (length, symbol) order
         ordered = sorted(self.lengths.items(), key=lambda item: item[1])
-        self.codes = {s: first[n] + i - base[n] for i, (s, n) in enumerate(ordered)}
-        self._bitstrings = {s: format(self.codes[s], f"0{n}b") for s, n in ordered}
         self._limits = np.array(limits, dtype=np.uint64)
         self._first = np.array(first, dtype=np.uint64)
         self._base = np.array(base, dtype=np.uint64)
         self._ordered = np.array([s for s, _ in ordered], dtype=np.int64)
+
+    @cached_property
+    def codes(self) -> dict[int, int]:
+        """Canonical codeword of every symbol, in (length, symbol) order."""
+        widths = np.sort(np.fromiter(self.lengths.values(), np.int64, len(self.lengths)))
+        codes = self._first[widths] + np.arange(widths.size, dtype=np.uint64)
+        codes -= self._base[widths]
+        return dict(zip(self._ordered.tolist(), codes.tolist()))
+
+    @cached_property
+    def _bitstrings(self) -> dict[int, str]:
+        lengths = self.lengths
+        return {s: format(c, f"0{lengths[s]}b") for s, c in self.codes.items()}
 
     def __len__(self) -> int:
         return len(self.lengths)

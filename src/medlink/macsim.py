@@ -20,15 +20,19 @@ by SIFS.
 
 All durations are computed in integer nanoseconds internally, so totals
 are bit-for-bit reproducible across runs and platforms; results surface
-as microsecond floats.
+as microsecond floats. Each run of equal packets is timed once, and the
+total is the left-to-right float sum of the per-packet times, not
+``sum()``, which compensates its rounding from Python 3.12 on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
-from .transport import ACK_MSDU, FragmentationPlan
+from .transport import ACK_MSDU, PACKET_OVERHEAD, FragmentationPlan
 
 __all__ = [
     "MacParameters",
@@ -168,7 +172,7 @@ class ScenarioResult:
     scenario: str
     packet_count: int
     per_packet_times: tuple[float, ...]  # microseconds
-    total_time: float  # microseconds, equals sum(per_packet_times)
+    total_time: float  # microseconds, per_packet_times added left to right
     payload_bits: int
     effective_throughput: float  # payload bits per second of airtime
 
@@ -189,18 +193,25 @@ class ScenarioResult:
         return self.fps_capacity >= images_per_second
 
 
-def _finish(scenario: str, packet_ns: list[int], plan: FragmentationPlan) -> ScenarioResult:
+def _finish(
+    scenario: str, runs: list[tuple[int, int]], plan: FragmentationPlan
+) -> ScenarioResult:
+    """Result of packet times given as (ns, packet count) runs, in order."""
     try:
-        per_packet = tuple(ns / 1000.0 for ns in packet_ns)
+        us = {ns: ns / 1000.0 for ns, _ in runs}
     except OverflowError:
-        raise _out_of_range(max(packet_ns) // 1000) from None
-    total = sum(per_packet)
+        raise _out_of_range(max(ns for ns, _ in runs) // 1000) from None
+    per_packet: tuple[float, ...] = ()
+    for ns, count in runs:
+        per_packet += (us[ns],) * count
+    # an in-order fold: sum() of floats rounds differently from Python 3.12
+    total = functools.reduce(operator.add, per_packet)
     if not math.isfinite(total):  # packet times that fit can sum past a float
         raise _out_of_range(total)
     payload_bits = 8 * plan.total_payload_bytes
     return ScenarioResult(
         scenario=scenario,
-        packet_count=len(packet_ns),
+        packet_count=len(per_packet),
         per_packet_times=per_packet,
         total_time=total,
         payload_bits=payload_bits,
@@ -247,23 +258,24 @@ SCENARIOS = tuple(_SCENARIO_TIMING)
 
 
 def simulate(scenario: str, plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
-    """Time every packet of ``plan`` under one access scenario."""
+    """Time every packet of ``plan`` under one access scenario, one run of
+    equal packets at a time."""
     try:
         exchange_ns, surcharge_ns = _SCENARIO_TIMING[scenario]
     except KeyError:
         raise ValueError(
             f"unknown scenario {scenario!r}, expected one of {SCENARIOS}"
         ) from None
-    cache: dict[int, int] = {}
-    packets = []
-    for msdu in plan.packet_payloads:
-        if msdu not in cache:
-            cache[msdu] = exchange_ns(params, msdu)
-            if plan.tftp_ack:
-                cache[msdu] += exchange_ns(params, ACK_MSDU)
-        packets.append(cache[msdu])
-    packets[0] += surcharge_ns(params)
-    return _finish(scenario, packets, plan)
+    runs = []
+    for block, count in plan.runs:
+        ns = exchange_ns(params, block + PACKET_OVERHEAD)
+        if plan.tftp_ack:
+            ns += exchange_ns(params, ACK_MSDU)
+        runs.append((ns, count))
+    # the one-off surcharge falls on the first packet alone
+    first_ns, first_count = runs[0]
+    runs[:1] = [(first_ns + surcharge_ns(params), 1), (first_ns, first_count - 1)]
+    return _finish(scenario, runs, plan)
 
 
 def simulate_dcf(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:

@@ -13,6 +13,11 @@ A transfer whose size is an exact multiple of the blocksize ends with an
 explicit zero-length data block, as TFTP requires, so the receiver can
 tell the transfer is over.
 
+A fragmentation plan is just the transfer size, the blocksize and the
+ACK flag. Every data block but the last is full, so the blocks form at
+most two runs of equal packets; the block list is derived from the size
+on demand, and the MAC model prices each run once.
+
 Size bookkeeping uses binary prefixes throughout this module: 1 kbit is
 1024 bit and 1 Mbit is 1024 kbit. That convention is what makes the
 reference rate chain come out exact (a 16-bit 256x256-px image at
@@ -55,18 +60,40 @@ ACK_MSDU = TFTP_ACK_SIZE + UDP_HEADER + IPV4_HEADER + LLC_SNAP_HEADER
 
 @dataclass(frozen=True)
 class FragmentationPlan:
-    """How one compressed bitstream splits into link-layer packets.
+    """How one compressed bitstream of ``size`` bytes splits into TFTP
+    data packets of ``blocksize`` bytes.
 
-    ``data_blocks`` holds the TFTP block payload of every data packet in
-    order; a trailing 0 is the explicit end-of-transfer block. When
-    ``tftp_ack`` is set the receiver answers every data packet with a
-    lock-step TFTP acknowledgment (its own 40-byte MSDU), which the MAC
-    simulator accounts for.
+    The blocks are derived, not stored: ``data_blocks`` holds the TFTP
+    block payload of every data packet in order, and a trailing 0 is the
+    explicit end-of-transfer block. ``runs`` gives the same blocks as
+    (payload, packet count) runs. When ``tftp_ack`` is set the receiver
+    answers every data packet with a lock-step TFTP acknowledgment (its
+    own 40-byte MSDU), which the MAC simulator accounts for.
     """
 
     blocksize: int
-    data_blocks: tuple[int, ...]
+    size: int
     tftp_ack: bool = False
+
+    def __post_init__(self):
+        if self.blocksize not in BLOCKSIZES:
+            raise ValueError(
+                f"unsupported blocksize {self.blocksize}, expected one of {BLOCKSIZES}"
+            )
+        if self.size < 1:
+            raise ValueError("bitstream must be at least one byte")
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """(block payload, packet count) of each run of equal data packets,
+        in order: the full blocks, then the short or zero-length last one."""
+        full, last = divmod(self.size, self.blocksize)
+        return ((self.blocksize, full), (last, 1)) if full else ((last, 1),)
+
+    @property
+    def data_blocks(self) -> tuple[int, ...]:
+        full, last = divmod(self.size, self.blocksize)
+        return (self.blocksize,) * full + (last,)
 
     @property
     def packet_payloads(self) -> tuple[int, ...]:
@@ -75,11 +102,11 @@ class FragmentationPlan:
 
     @property
     def data_packet_count(self) -> int:
-        return len(self.data_blocks)
+        return self.size // self.blocksize + 1
 
     @property
     def total_payload_bytes(self) -> int:
-        return sum(self.data_blocks)
+        return self.size
 
 
 def fragment(bitstream_bytes: int, blocksize: int, tftp_ack: bool = False) -> FragmentationPlan:
@@ -89,18 +116,7 @@ def fragment(bitstream_bytes: int, blocksize: int, tftp_ack: bool = False) -> Fr
     is ceil(size / blocksize), plus the zero-length terminator when the
     size is an exact multiple.
     """
-    if blocksize not in BLOCKSIZES:
-        raise ValueError(
-            f"unsupported blocksize {blocksize}, expected one of {BLOCKSIZES}"
-        )
-    if bitstream_bytes < 1:
-        raise ValueError("bitstream must be at least one byte")
-    full, rem = divmod(bitstream_bytes, blocksize)
-    blocks = [blocksize] * full
-    blocks.append(rem if rem else 0)
-    return FragmentationPlan(
-        blocksize=blocksize, data_blocks=tuple(blocks), tftp_ack=tftp_ack
-    )
+    return FragmentationPlan(blocksize, bitstream_bytes, tftp_ack)
 
 
 def required_throughput(compressed_bits: float, images_per_second: float) -> float:

@@ -326,6 +326,18 @@ def test_decode_peak_memory_per_payload_bit():
     assert peak <= 6 * stream.payload_bit_length
 
 
+def test_decoding_builds_no_codeword_dicts():
+    img = synth_image("blobs", 64, 64, bit_depth=16, seed=3)
+    stream = compress(img, lossless=True)
+    code = HuffmanCode(stream.code_lengths)
+    symbols = huffman_decode(stream.payload, stream.payload_bit_length, code)
+    assert "_bitstrings" not in code.__dict__
+    assert "codes" not in code.__dict__
+    # the encoder derives them on first use, and they match what was decoded
+    assert huffman_encode(symbols, code) == (stream.payload, stream.payload_bit_length)
+    assert "_bitstrings" in code.__dict__
+
+
 def _heap_lengths(freqs):
     """Reference builder: the heap merge with leaves seeded in symbol order
     and merges sequence-numbered, then a stack walk of the tree."""

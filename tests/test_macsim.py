@@ -5,17 +5,24 @@ exchanges) are asserted against hand-expanded formulas, then the
 scenario ordering is exercised across randomized parameter sets.
 """
 
+import functools
+import math
+import operator
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from medlink.macsim import (
+    _SCENARIO_TIMING,
     MEAN_BACKOFF_HALF_CWMIN_11B,
     PROFILE_11B,
     PROFILE_11G,
     PROFILES,
+    SCENARIOS,
     MacParameters,
+    ScenarioResult,
     budget_superframe,
     control_airtime,
     frame_airtime,
@@ -25,7 +32,71 @@ from medlink.macsim import (
     simulate_dcf_rts,
     simulate_pcf,
 )
-from medlink.transport import fragment
+from medlink.transport import ACK_MSDU, BLOCKSIZES, fragment
+
+
+def left_fold(values):
+    return functools.reduce(operator.add, values)
+
+
+def neumaier_sum(values):
+    """sum() of floats as CPython computes it from 3.12 on: Neumaier's
+    compensated summation, the compensation added once at the end."""
+    total = c = 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def random_mac_parameters(rng) -> MacParameters:
+    slot = float(rng.integers(5, 51))
+    sifs = float(rng.integers(5, 31))
+    return MacParameters(
+        phy_rate=float(rng.choice([1e6, 2e6, 5.5e6, 11e6, 54e6])),
+        control_rate=float(rng.choice([1e6, 2e6, 11e6])),
+        slot_time=slot,
+        sifs=sifs,
+        pifs=sifs + slot,
+        difs=sifs + 2 * slot,
+        plcp_overhead=float(rng.integers(16, 193)),
+        mac_header_bytes=int(rng.integers(24, 41)),
+        mean_backoff_slots=float(rng.integers(0, 33)),
+        retx_factor=int(rng.integers(1, 5)),
+    )
+
+
+def per_packet_simulate(scenario, plan, params) -> ScenarioResult:
+    """Reference: every packet timed in a Python loop over
+    ``packet_payloads`` (one exchange per distinct MSDU), each
+    nanosecond count divided on its own and the total added in order."""
+    exchange_ns, surcharge_ns = _SCENARIO_TIMING[scenario]
+    cache = {}
+    packet_ns = []
+    for msdu in plan.packet_payloads:
+        if msdu not in cache:
+            cache[msdu] = exchange_ns(params, msdu)
+            if plan.tftp_ack:
+                cache[msdu] += exchange_ns(params, ACK_MSDU)
+        packet_ns.append(cache[msdu])
+    packet_ns[0] += surcharge_ns(params)
+    try:
+        per_packet = tuple(ns / 1000.0 for ns in packet_ns)
+    except OverflowError:
+        raise ValueError(
+            f"a MAC duration of {max(packet_ns) // 1000} us is out of range"
+        ) from None
+    total = 0.0
+    for t in per_packet:
+        total += t
+    if not math.isfinite(total):
+        raise ValueError(f"a MAC duration of {total} us is out of range")
+    payload_bits = 8 * plan.total_payload_bytes
+    return ScenarioResult(
+        scenario, len(packet_ns), per_packet, total, payload_bits,
+        payload_bits * 1e6 / total,
+    )
 
 
 def test_frame_airtime_formula():
@@ -172,8 +243,86 @@ def test_total_equals_sum_of_packets():
     plan = fragment(100_000, 1024)
     for sim in (simulate_dcf, simulate_dcf_rts, simulate_pcf):
         res = sim(plan, PROFILE_11B)
-        assert res.total_time == sum(res.per_packet_times)
+        assert res.total_time == left_fold(res.per_packet_times)
         assert len(res.per_packet_times) == res.packet_count
+
+
+def test_total_is_the_in_order_sum_on_every_python():
+    """Python 3.12's sum() compensates float rounding; the total must not."""
+    res = simulate("dcf-rts", fragment(6_000_000, 512, tftp_ack=True), PROFILE_11B)
+    in_order = left_fold(res.per_packet_times)
+    assert neumaier_sum(res.per_packet_times) != in_order
+    assert res.total_time == in_order
+    assert repr(res.total_time) == "22398270.551002193"
+
+
+def test_run_wise_timing_matches_the_per_packet_loop():
+    """300 seeded plans and parameter sets, every scenario, against the
+    per-packet reference, bit for bit."""
+    rng = np.random.default_rng(1414)
+    for _ in range(300):
+        blocksize = int(rng.choice(BLOCKSIZES))
+        size = int(rng.choice([
+            1,
+            blocksize - 1,
+            blocksize,
+            blocksize + 1,
+            blocksize * int(rng.integers(2, 50)),
+            round(math.exp(rng.uniform(0, math.log(6_000_000)))),
+        ]))
+        plan = fragment(size, blocksize, tftp_ack=bool(rng.integers(2)))
+        kind = int(rng.integers(3))
+        params = random_mac_parameters(rng) if kind == 2 else (PROFILE_11B, PROFILE_11G)[kind]
+        for scenario in SCENARIOS:
+            got = simulate(scenario, plan, params)
+            want = per_packet_simulate(scenario, plan, params)
+            assert got.per_packet_times == want.per_packet_times
+            assert repr(got.total_time) == repr(want.total_time)
+            assert got.packet_count == want.packet_count == plan.data_packet_count
+            assert got.payload_bits == want.payload_bits
+            assert got.effective_throughput == want.effective_throughput
+
+
+@pytest.mark.parametrize(
+    "size,params",
+    [
+        # every packet fits a float, their sum does not
+        (6_000_000, replace(PROFILE_11B, retx_factor=10**302)),
+        # one packet's nanosecond count does not fit a float
+        (1300, replace(PROFILE_11B, retx_factor=10**305)),
+        # a data frame's airtime is infinite
+        (6_000_000, replace(PROFILE_11B, phy_rate=1e-300)),
+    ],
+)
+@pytest.mark.parametrize("ack", [False, True])
+def test_out_of_range_errors_match_the_per_packet_loop(size, params, ack):
+    plan = fragment(size, 512, tftp_ack=ack)
+    for scenario in SCENARIOS:
+        with pytest.raises(ValueError, match="out of range") as want:
+            per_packet_simulate(scenario, plan, params)
+        with pytest.raises(ValueError) as got:
+            simulate(scenario, plan, params)
+        assert str(got.value) == str(want.value)
+
+
+def test_a_timed_transfer_keeps_one_pointer_per_packet():
+    """The plan stores no blocks, and a result shares one float per
+    distinct packet time across its per-packet tuple."""
+    tracemalloc.start()
+    try:
+        plan = fragment(6_000_000, 512, tftp_ack=True)
+        plan_bytes = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        res = simulate("dcf-rts", plan, PROFILE_11B)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    packets = res.packet_count
+    assert packets == 11_719
+    assert plan_bytes < 1024
+    assert (kept - before) / packets <= 9
+    assert (peak - before) / packets <= 32
 
 
 def test_effective_throughput_below_phy_rate():
@@ -187,20 +336,7 @@ def test_scenario_ordering_across_random_parameter_sets():
     """PCF <= DCF <= DCF+RTS on 50 randomized parameter and plan draws."""
     rng = np.random.default_rng(2024)
     for _ in range(50):
-        slot = float(rng.integers(5, 51))
-        sifs = float(rng.integers(5, 31))
-        params = MacParameters(
-            phy_rate=float(rng.choice([1e6, 2e6, 5.5e6, 11e6, 54e6])),
-            control_rate=float(rng.choice([1e6, 2e6, 11e6])),
-            slot_time=slot,
-            sifs=sifs,
-            pifs=sifs + slot,
-            difs=sifs + 2 * slot,
-            plcp_overhead=float(rng.integers(16, 193)),
-            mac_header_bytes=int(rng.integers(24, 41)),
-            mean_backoff_slots=float(rng.integers(0, 33)),
-            retx_factor=int(rng.integers(1, 5)),
-        )
+        params = random_mac_parameters(rng)
         nbytes = int(rng.integers(32_768, 500_000))
         plan = fragment(nbytes, int(rng.choice([512, 1024, 2048])))
         t_pcf = simulate_pcf(plan, params).total_time

@@ -3,6 +3,7 @@ import pytest
 from medlink.transport import (
     BLOCKSIZES,
     PACKET_OVERHEAD,
+    FragmentationPlan,
     bits_to_kbit,
     bits_to_mbit,
     fragment,
@@ -19,6 +20,7 @@ def test_per_packet_overhead_is_40_bytes():
 def test_fragment_splits_and_pads_msdus():
     plan = fragment(1300, 512)
     assert plan.data_blocks == (512, 512, 276)
+    assert plan.runs == ((512, 2), (276, 1))
     assert plan.packet_payloads == (552, 552, 316)
     assert plan.data_packet_count == 3
     assert plan.total_payload_bytes == 1300
@@ -27,6 +29,7 @@ def test_fragment_splits_and_pads_msdus():
 def test_exact_multiple_gets_zero_length_terminator():
     plan = fragment(1024, 512)
     assert plan.data_blocks == (512, 512, 0)
+    assert plan.runs == ((512, 2), (0, 1))
     assert plan.data_packet_count == 3
     plan = fragment(1025, 512)
     assert plan.data_blocks == (512, 512, 1)
@@ -35,6 +38,7 @@ def test_exact_multiple_gets_zero_length_terminator():
 def test_single_byte_transfer():
     plan = fragment(1, 2048)
     assert plan.data_blocks == (1,)
+    assert plan.runs == ((1, 1),)
 
 
 def test_reassembled_size_matches_for_random_sizes():
@@ -54,10 +58,15 @@ def test_reassembled_size_matches_for_random_sizes():
 
 
 def test_unsupported_blocksize_rejected():
-    with pytest.raises(ValueError, match="blocksize"):
-        fragment(1000, 700)
-    with pytest.raises(ValueError):
-        fragment(0, 512)
+    # a plan built directly is checked as fragment checks it
+    for make in (fragment, lambda size, bs: FragmentationPlan(bs, size)):
+        with pytest.raises(ValueError) as bad_blocksize:
+            make(1000, 700)
+        assert str(bad_blocksize.value) == (
+            "unsupported blocksize 700, expected one of (512, 1024, 2048)"
+        )
+        with pytest.raises(ValueError, match="^bitstream must be at least one byte$"):
+            make(0, 512)
 
 
 def test_tftp_ack_flag_counts_reverse_overhead():

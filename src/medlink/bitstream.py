@@ -20,7 +20,9 @@ A compressed image is a self-describing byte stream (conventionally a
     ..      8     payload bit length, u64 LE
     ..      var   payload, ceil(bits / 8) bytes, zero padded
 
-Table entries are sorted by symbol, so serialization is deterministic.
+Table entries are sorted by symbol, so serialization is deterministic; a
+container whose symbols do not strictly ascend, which includes a repeated
+symbol, is rejected at the first entry out of order.
 The flags byte is always 1 and a container with any other value is
 rejected.
 The advertised size of a stream counts header bytes plus payload bytes;
@@ -184,12 +186,18 @@ class CompressedBitstream:
             )
         pos += 4
         code_lengths: dict[int, int] = {}
+        previous = -_SYMBOL_LIMIT - 1
         for _ in range(entry_count):
             entry = pos
             raw, pos = _read_uvarint(data, pos)
             symbol = _unzigzag(raw)
             if not -_SYMBOL_LIMIT <= symbol < _SYMBOL_LIMIT:
                 raise BitstreamError(f"code table symbol {symbol} outside int32", entry)
+            if symbol <= previous:
+                raise BitstreamError(
+                    f"code table symbol {symbol} does not follow {previous} in order", entry
+                )
+            previous = symbol
             if pos >= len(data):
                 raise BitstreamError("truncated code table entry", len(data))
             length = data[pos]

@@ -15,13 +15,35 @@ Commun. 45(10), 1997), with one exact Kraft check per length; the
 codewords and the decoder read them. Decoding needs no codeword table.
 Read as an L-bit number, L the longest code length, the window at a
 codeword's start lies below the left-justified limit ``(first code +
-count) << (L - length)`` of its own length and of no shorter one, so
-``np.searchsorted`` over the L limits gives the length of the codeword
-starting at every bit position. The payload is handled in chunks of
-``_CHUNK_BITS`` positions to bound the temporaries. One Python step per
-symbol then walks the starts, each length pointing to the next, and the
-symbols follow from the windows at the starts alone: index
-``base + code - first`` in (length, symbol) order.
+count) << (L - length)`` of its own length and of no shorter one. So the
+decoder first finds the length of the codeword starting at every bit
+position, 0 where none does. A table over the top ``min(L, 12)`` bits of
+the window gives it wherever those bits lie below the limit of length
+``min(L, 12)``; only the windows above, which start a longer codeword or
+none, go through ``np.searchsorted`` over the L limits. This runs in
+chunks of ``_CHUNK_BITS`` positions to bound the temporaries.
+
+The lengths chain the codeword starts: each start plus its length is the
+next. A payload shorter than ``_LANE_MIN_BITS`` is walked with one Python
+step per codeword. A longer one is walked by numpy lanes (Klein and
+Wiseman, "Parallel Huffman decoding with applications to JPEG files",
+Comput. J. 46(5), 2003): a lane starts at every block of
+``_LANE_BLOCK_BITS`` bits, rounded to a multiple of the gcd of the code
+lengths, and all lanes step together until each has run
+``_LANE_OVERRUN_BITS`` bits into the next block. A lane started off a
+codeword boundary almost always falls onto the true boundaries within a
+few codewords, and two paths that share a position share every later one.
+Lane 0 starts at bit 0 and so is true; the next lane is true from the
+first position of the true lane's overrun that lies on its path, and so
+on. A true lane that meets no later lane is continued by the sequential
+walk from its last position, which stops where it lands on a later lane's
+path near the start of that lane's block, and the lanes resume from
+there. Either way the decode ends where the path from bit 0 ends: on a
+position with no codeword, or at or past ``bit_length``, which is where
+the walk alone would stop, so errors and their offsets come from that
+one position and the start before it. The symbols follow from the
+windows at the starts alone: index ``base + code - first`` in (length,
+symbol) order.
 
 Code lengths are capped at ``MAX_CODE_LENGTH`` = 57 bits, the widest
 window an 8-byte word holds after a shift of up to 7 bits. No encoder
@@ -32,6 +54,7 @@ codeword needs F(60), about 1.5e12 tokens.
 
 from __future__ import annotations
 
+import math
 from array import array
 from functools import cached_property
 
@@ -52,7 +75,22 @@ __all__ = [
 MAX_CODE_LENGTH = 57
 # bit positions whose codeword lengths one numpy pass computes
 _CHUNK_BITS = 1 << 16
-_BYTE_SHIFTS = np.arange(8, dtype=np.uint64)
+_BYTE_SHIFTS = np.arange(8, dtype=np.uint32)
+# codewords up to this long get their length from one table lookup
+_TABLE_BITS = 12
+# payloads this long or longer are walked by lanes; on shorter ones the
+# lane pass costs more than the sequential walk it replaces
+_LANE_MIN_BITS = 1 << 18
+# bits between lane starts, before rounding to a multiple of the gcd of
+# the code lengths, so that a fixed-length code starts every lane in step
+_LANE_BLOCK_BITS = 4096
+# bits a lane runs into the next block, where it looks for that lane's path
+_LANE_OVERRUN_BITS = 2048
+# lane steps per table allocation; whether every lane is done is checked
+# once per table
+_LANE_ROWS = 32
+# overrun steps searched for a meeting point in the first, vectorized pass
+_MEET_ROWS = 32
 
 
 class HuffmanError(ValueError):
@@ -95,16 +133,17 @@ class HuffmanCode:
         # a stable sort of the symbol-ordered table: (length, symbol) order
         ordered = sorted(self.lengths.items(), key=lambda item: item[1])
         self._limits = np.array(limits, dtype=np.uint64)
-        self._first = np.array(first, dtype=np.uint64)
-        self._base = np.array(base, dtype=np.uint64)
+        # a codeword of each length plus this is its (length, symbol)
+        # index, base - first, mod 2**64
+        self._offset = np.array(base, dtype=np.uint64) - np.array(first, dtype=np.uint64)
         self._ordered = np.array([s for s, _ in ordered], dtype=np.int64)
+        self._gcd = math.gcd(*np.flatnonzero(counts).tolist())
 
     @cached_property
     def codes(self) -> dict[int, int]:
         """Canonical codeword of every symbol, in (length, symbol) order."""
         widths = np.sort(np.fromiter(self.lengths.values(), np.int64, len(self.lengths)))
-        codes = self._first[widths] + np.arange(widths.size, dtype=np.uint64)
-        codes -= self._base[widths]
+        codes = np.arange(widths.size, dtype=np.uint64) - self._offset[widths]
         return dict(zip(self._ordered.tolist(), codes.tolist()))
 
     @cached_property
@@ -208,40 +247,174 @@ def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarra
     if bit_length == 0:
         return np.empty(0, dtype=np.int64)
     longest = code.max_length
-    # the big-endian 8-byte word at every byte offset, over zero padding
     padded = bytes(data) + bytes(8)
-    words = np.ndarray((len(data) + 1,), dtype=">u8", buffer=padded, strides=(1,))
-    # searchsorted index i < longest: the window starts a codeword of i + 1
-    # bits; i == longest: it starts none
+    lengths = _codeword_lengths(padded, bit_length, code)
+    if bit_length < _LANE_MIN_BITS:
+        walked = array("q")
+        end = _walk(lengths, 0, bit_length, walked)
+        starts = np.frombuffer(walked, dtype=np.int64)
+    else:
+        starts, end = _lane_starts(lengths, bit_length, code._gcd)
+    if end < bit_length:
+        dead = bit_length - end > longest
+        raise HuffmanDecodeError(
+            "no codeword matches" if dead else "truncated codeword", end
+        )
+    if end > bit_length:
+        raise HuffmanDecodeError("truncated codeword", int(starts[-1]))
+    width = np.frombuffer(lengths, dtype=np.uint8)[starts]
+    # in place, so that the gathered words are the one 8-byte array per symbol
+    codes = _byte_words(padded, ">u8")[starts >> 3]
+    codes <<= (starts & 7).astype(np.uint8)
+    del starts
+    codes >>= 64 - width
+    codes += code._offset[width]
+    return code._ordered[codes]
+
+
+def _byte_words(padded: bytes, dtype: str) -> np.ndarray:
+    """The big-endian word at every byte offset of the data before the 8
+    zero bytes that end ``padded``."""
+    return np.ndarray((len(padded) - 7,), dtype=dtype, buffer=padded, strides=(1,))
+
+
+def _codeword_lengths(padded: bytes, bit_length: int, code: HuffmanCode) -> bytearray:
+    """The length of the codeword starting at each of the ``bit_length``
+    positions, 0 where none does, then ``code.max_length`` zero bytes, so
+    that a step from any position lands inside."""
+    longest = code.max_length
+    top = min(longest, _TABLE_BITS)
+    limits = code._limits
+    # length i + 1 at searchsorted index i < longest; none at longest
     length_at = np.append(np.arange(1, longest + 1), 0).astype(np.uint8)
-    lengths = bytearray(bit_length)
+    # top bits below ``short`` start a codeword of at most ``top`` bits,
+    # which the table holds; above it, a longer one or none
+    short = int(limits[top - 1]) >> (longest - top)
+    table = np.zeros(1 << top, dtype=np.uint8)
+    top_limits = limits[:top] >> np.uint64(longest - top)
+    table[:short] = length_at[
+        np.searchsorted(top_limits, np.arange(short, dtype=np.uint64), "right")
+    ]
+    quads = _byte_words(padded, ">u4")
+    words = _byte_words(padded, ">u8")
+    lengths = bytearray(bit_length + longest)
     lengths_view = np.frombuffer(lengths, dtype=np.uint8)
     for lo in range(0, bit_length, _CHUNK_BITS):
         hi = min(lo + _CHUNK_BITS, bit_length)
-        chunk = words[lo >> 3 : (hi + 7) >> 3, None]
-        windows = ((chunk << _BYTE_SHIFTS) >> np.uint64(64 - longest)).ravel()
-        found = np.searchsorted(code._limits, windows[: hi - lo], "right")
-        lengths_view[lo:hi] = length_at[found]
-    starts = array("q")
+        chunk = quads[lo >> 3 : (hi + 7) >> 3, None].astype(np.uint32)
+        windows = (chunk << _BYTE_SHIFTS).ravel()[: hi - lo]
+        windows >>= np.uint32(32 - top)
+        lengths_view[lo:hi] = table[windows]
+        if top < longest:
+            at = np.flatnonzero(windows >= short).astype(np.uint64)
+            at += np.uint64(lo)
+            full = np.left_shift(words[at >> np.uint64(3)], at & np.uint64(7))
+            full >>= np.uint64(64 - longest)
+            lengths_view[at] = length_at[np.searchsorted(limits, full, "right")]
+    return lengths
+
+
+def _walk(lengths: bytearray, pos: int, stop: int, starts: array) -> int:
+    """Append the codeword starts from ``pos`` on to ``starts``, one Python
+    step per codeword, until a position with no codeword or one at or past
+    ``stop``; return that position."""
     append = starts.append
-    pos = 0
-    while pos < bit_length:
+    while pos < stop:
         step = lengths[pos]
         if not step:
             break
         append(pos)
         pos += step
-    if pos < bit_length:
-        dead = bit_length - pos > longest
-        raise HuffmanDecodeError(
-            "no codeword matches" if dead else "truncated codeword", pos
-        )
-    if pos > bit_length:
-        raise HuffmanDecodeError("truncated codeword", starts[-1])
-    at = np.frombuffer(starts, dtype=np.uint64)
-    width = lengths_view[at]
-    codes = np.left_shift(words[at >> 3], at & 7)
-    codes >>= np.uint64(64) - width
-    codes -= code._first[width]
-    codes += code._base[width]
-    return code._ordered[codes]
+    return pos
+
+
+def _run_lanes(view: np.ndarray, first: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Step a lane from each position in ``first`` until every lane is at
+    or past its ``target`` or stuck on a zero length; return the visited
+    positions, one row per lane."""
+    table = np.empty((_LANE_ROWS, first.size), dtype=first.dtype)
+    table[0] = first
+    tables = [table]
+    step = np.empty(first.size, dtype=np.uint8)
+    r = 0
+    while True:
+        row = table[r]
+        view.take(row, out=step)
+        r += 1
+        if r == _LANE_ROWS:
+            if np.all((row >= target) | (step == 0)):
+                return np.concatenate([t.T for t in tables], axis=1)
+            table = np.empty_like(table)
+            tables.append(table)
+            r = 0
+        np.add(row, step, out=table[r])
+
+
+def _lane_starts(lengths: bytearray, bit_length: int, gcd: int) -> tuple[np.ndarray, int]:
+    """The sorted codeword starts of a long payload and the position where
+    its path from bit 0 ends, the same as ``_walk`` from 0 finds."""
+    block = max(_LANE_BLOCK_BITS // gcd, 1) * gcd
+    dtype = np.int32 if len(lengths) <= np.iinfo(np.int32).max else np.int64
+    first = np.arange(0, bit_length, block, dtype=dtype)
+    own_end = np.minimum(first + block, bit_length)
+    target = np.minimum(own_end + _LANE_OVERRUN_BITS, bit_length)
+    paths = _run_lanes(np.frombuffer(lengths, dtype=np.uint8), first, target)
+    # each lane's path over the start of its block, where the previous
+    # lane's overrun crosses it
+    marks = np.zeros(len(lengths), dtype=bool)
+    overlap = np.minimum(first + _LANE_OVERRUN_BITS, own_end)
+    marks[paths[paths < overlap[:, None]]] = True
+    meet = _meetings(paths, marks, own_end)
+    pieces = []
+    lane, pos = 0, 0
+    while lane is not None:
+        path = paths[lane]
+        start = path.searchsorted(path.dtype.type(pos))
+        if meet[lane] >= 0:
+            pieces.append(path[start : meet[lane]])
+            pos = int(path[meet[lane]])
+            lane = pos // block
+        else:
+            pieces.append(path[start : path.searchsorted(path[-1])])
+            pos, lane = _walk_to_lane(lengths, int(path[-1]), bit_length, block, marks, pieces)
+    return np.concatenate(pieces), pos
+
+
+def _meetings(paths: np.ndarray, marks: np.ndarray, own_end: np.ndarray) -> list[int]:
+    """The step at which each lane, past the end of its own block, first
+    reaches a marked position, or -1 if it does not. The first _MEET_ROWS
+    steps are searched for all lanes at once, later ones lane by lane."""
+    rows = paths.shape[1]
+    over = np.count_nonzero(paths < own_end[:, None], axis=1)
+    window = over[:, None] + np.arange(_MEET_ROWS)
+    hit = marks[np.take_along_axis(paths, np.minimum(window, rows - 1), axis=1)]
+    hit &= window < rows
+    meet = np.where(hit.any(axis=1), over + hit.argmax(axis=1), -1)
+    for lane in np.flatnonzero(meet < 0).tolist():
+        later = over[lane] + _MEET_ROWS
+        hits = np.flatnonzero(marks[paths[lane, later:]])
+        if hits.size:
+            meet[lane] = later + hits[0]
+    return meet.tolist()
+
+
+def _walk_to_lane(lengths, pos: int, bit_length: int, block: int, marks, pieces: list):
+    """Walk on from ``pos``, to the end of the next block's marked stretch
+    at a time, appending the starts to ``pieces`` in the dtype of the first
+    piece, until the walk lands on a marked position; return it and its
+    lane, or where the walk ended and None."""
+    dtype = pieces[0].dtype
+    while pos < bit_length:
+        walked = array(dtype.char)
+        stop = min((pos // block + 1) * block + _LANE_OVERRUN_BITS, bit_length)
+        pos = _walk(lengths, pos, stop, walked)
+        steps = np.frombuffer(walked, dtype=dtype)
+        landed = np.flatnonzero(marks[steps])
+        if landed.size:
+            pieces.append(steps[: landed[0]])
+            pos = int(steps[landed[0]])
+            return pos, pos // block
+        pieces.append(steps)
+        if pos < stop:
+            break
+    return pos, None

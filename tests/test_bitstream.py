@@ -220,7 +220,42 @@ def test_code_table_symbol_outside_int32_rejected_at_its_entry(symbol):
     assert err.value.offset == 56
 
 
+def _with_entries(entries) -> bytes:
+    """The sample container with its code table replaced by ``entries``,
+    (symbol, length) pairs written in the order given."""
+    data = _sample_stream().to_bytes()
+    # the sample table's count is at 46 and its entries run to 59
+    assert struct.unpack_from("<I", data, 46) == (4,)
+    table = bytearray(struct.pack("<I", len(entries)))
+    for symbol, length in entries:
+        _write_uvarint(table, _zigzag(symbol))
+        table.append(length)
+    return data[:46] + bytes(table) + data[59:]
+
+
 @pytest.mark.parametrize("symbol", [2**31 - 1, -(2**31)])
 def test_code_table_symbol_at_int32_limit_parses(symbol):
-    stream = CompressedBitstream.from_bytes(_with_last_symbol(_zigzag(symbol)))
-    assert stream.code_lengths == {-3: 3, 0: 1, 2: 2, symbol: 3}
+    # the limit replaces the entry at its own end of the table, so the
+    # symbols still ascend
+    lengths = _sample_stream().code_lengths
+    replaced = max(lengths) if symbol > 0 else min(lengths)
+    entries = sorted((symbol if s == replaced else s, n) for s, n in lengths.items())
+    stream = CompressedBitstream.from_bytes(_with_entries(entries))
+    assert stream.code_lengths == dict(entries)
+
+
+def test_code_table_with_a_repeated_symbol_rejected_at_the_repeat():
+    entries = list(_sample_stream().code_lengths.items())
+    assert _with_entries(entries) == _sample_stream().to_bytes()
+    # the first entry again, after the last: it would override the length
+    with pytest.raises(BitstreamError, match="symbol -3 does not follow 700") as err:
+        CompressedBitstream.from_bytes(_with_entries(entries + entries[:1]))
+    assert err.value.offset == 59
+
+
+def test_code_table_out_of_order_rejected_at_the_first_late_entry():
+    # reversed: 700 (a 2-byte varint and a length byte), then 2 at byte 53
+    entries = list(_sample_stream().code_lengths.items())[::-1]
+    with pytest.raises(BitstreamError, match="symbol 2 does not follow 700") as err:
+        CompressedBitstream.from_bytes(_with_entries(entries))
+    assert err.value.offset == 53

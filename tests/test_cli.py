@@ -287,6 +287,25 @@ def test_code_table_symbol_beyond_int64_is_a_codec_error(tmp_path, capsys):
     assert f"symbol {-(2**68)} outside int32 (byte offset {entries})" in capsys.readouterr().err
 
 
+def test_repeated_code_table_symbol_is_a_codec_error(tmp_path, capsys):
+    assert main(["compress", "--input", SPEC_SMALL, "--out", str(tmp_path)]) == 0
+    data = bytearray((tmp_path / f"{NAME_SMALL}.wbc").read_bytes())
+    count_at = 18 + 4 * (1 + 3 * data[14])
+    (count,) = struct.unpack_from("<I", data, count_at)
+    first = pos = count_at + 4
+    for _ in range(count):  # each entry: a symbol varint, then a length byte
+        while data[pos] & 0x80:
+            pos += 1
+        pos += 2
+    # the first entry again after the last, with the count to match
+    data[pos:pos] = data[first : first + 2]
+    struct.pack_into("<I", data, count_at, count + 1)
+    bad = tmp_path / "repeated_symbol.wbc"
+    bad.write_bytes(bytes(data))
+    assert main(["decompress", "--input", str(bad), "--out", str(tmp_path)]) == 3
+    assert f"in order (byte offset {pos})" in capsys.readouterr().err
+
+
 def test_zero_quantizer_step_is_a_codec_error(tmp_path):
     assert main(["compress", "--input", SPEC_SMALL, "--out", str(tmp_path)]) == 0
     data = bytearray((tmp_path / f"{NAME_SMALL}.wbc").read_bytes())

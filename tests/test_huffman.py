@@ -3,7 +3,9 @@
 Optimality is checked against a brute-force search over all length
 assignments satisfying the Kraft inequality, which is the defining
 property of an optimal prefix code, independent of how the tree is
-built. The decoder is checked against a plain per-bit loop.
+built. The decoder is checked against a plain per-bit loop, both on its
+sequential walk and with its lane constants made small, so that every
+payload spans many lanes and some lanes fall back to the walk.
 """
 
 import heapq
@@ -14,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from medlink import huffman
 from medlink.codec import _grid_config, _ProbeSizer, compress
 from medlink.dwt import dwt_forward
 from medlink.huffman import (
@@ -253,6 +256,10 @@ def _random_codes(rng):
 
 
 def test_decoder_matches_reference_on_random_codes():
+    _check_random_codes()
+
+
+def _check_random_codes():
     rng = np.random.default_rng(41)
     for code in _random_codes(rng):
         alphabet = np.array(sorted(code.lengths))
@@ -269,6 +276,11 @@ def test_decoder_matches_reference_on_random_codes():
 
 
 def test_decoder_matches_reference_across_chunk_boundaries():
+    _check_chunk_boundaries()
+
+
+def _check_chunk_boundaries() -> int:
+    """Returns the dead position of the incomplete code's decode."""
     rng = np.random.default_rng(43)
     code = huffman_build(_fibonacci_frequencies(58))
     alphabet = np.array(sorted(code.lengths))
@@ -291,9 +303,14 @@ def test_decoder_matches_reference_across_chunk_boundaries():
     incomplete = HuffmanCode({s: n for s, n in code.lengths.items() if s != 1})
     outcome = _assert_decodes_like_reference(payload, nbits, incomplete)
     assert outcome == (f"no codeword matches (bit offset {dead})", dead)
+    return dead
 
 
 def test_decoder_matches_reference_on_every_truncation_and_bit_flip():
+    _check_truncations_and_bit_flips()
+
+
+def _check_truncations_and_bit_flips():
     rng = np.random.default_rng(47)
     code = huffman_build({0: 40, 1: 20, 2: 10, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1})
     incomplete = HuffmanCode({s: n for s, n in code.lengths.items() if s != 5})
@@ -313,6 +330,114 @@ def test_decoder_matches_reference_on_every_truncation_and_bit_flip():
     assert errors == {"no codeword matches", "truncated codeword"}
 
 
+def _lanes(monkeypatch, block, overrun):
+    """Decode every payload by lanes ``block`` bits apart that run
+    ``overrun`` bits on; returns the (from, to) positions of the
+    sequential walks the decoder makes, which on lanes are its fallbacks."""
+    monkeypatch.setattr(huffman, "_LANE_MIN_BITS", 1)
+    monkeypatch.setattr(huffman, "_LANE_BLOCK_BITS", block)
+    monkeypatch.setattr(huffman, "_LANE_OVERRUN_BITS", overrun)
+    walks = []
+    walk = huffman._walk
+
+    def recorded(lengths, pos, stop, starts):
+        end = walk(lengths, pos, stop, starts)
+        walks.append((pos, end))
+        return end
+
+    monkeypatch.setattr(huffman, "_walk", recorded)
+    return walks
+
+
+# blocks short against the suites' payloads; overruns short enough that
+# some lanes meet no later lane
+SMALL_LANES = pytest.mark.parametrize("block, overrun", [(64, 32), (40, 8)])
+
+
+@SMALL_LANES
+def test_lanes_match_reference_on_random_codes(monkeypatch, block, overrun):
+    walks = _lanes(monkeypatch, block, overrun)
+    _check_random_codes()
+    assert walks
+
+
+@SMALL_LANES
+def test_lanes_match_reference_on_every_truncation_and_bit_flip(monkeypatch, block, overrun):
+    walks = _lanes(monkeypatch, block, overrun)
+    _check_truncations_and_bit_flips()
+    assert walks
+
+
+@SMALL_LANES
+def test_lanes_match_reference_across_chunk_boundaries(monkeypatch, block, overrun):
+    walks = _lanes(monkeypatch, block, overrun)
+    dead = _check_chunk_boundaries()
+    # the walk is what stops at the dead position
+    assert walks[-1][1] == dead
+
+
+def test_lanes_carry_the_path_to_a_dead_position_several_lanes_in(monkeypatch):
+    walks = _lanes(monkeypatch, 256, 128)
+    rng = np.random.default_rng(53)
+    code = huffman_build({0: 40, 1: 20, 2: 10, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1})
+    # symbol 7 is last in canonical order: the code without it keeps
+    # every other codeword
+    symbols = rng.choice(np.arange(7), size=20000)
+    symbols[3000] = 7
+    payload, nbits = huffman_encode(symbols, code)
+    dead = sum(code.lengths[s] for s in symbols[:3000].tolist())
+    assert dead > 20 * 256
+    incomplete = HuffmanCode({s: n for s, n in code.lengths.items() if s != 7})
+    outcome = _assert_decodes_like_reference(payload, nbits, incomplete)
+    assert outcome == (f"no codeword matches (bit offset {dead})", dead)
+    # every lane met the next up to the dead position, where the walk
+    # resumed and stopped at once
+    assert walks == [(dead, dead)]
+
+
+def test_lanes_fall_back_and_resume_on_a_real_payload(monkeypatch):
+    img = synth_image("mixed", 256, 256, bit_depth=16, seed=0)
+    stream = compress(img, lossless=True)
+    nbits = stream.payload_bit_length
+    assert nbits >= huffman._LANE_MIN_BITS
+    code = HuffmanCode(stream.code_lengths)
+    monkeypatch.setattr(huffman, "_LANE_MIN_BITS", nbits + 1)
+    walked = huffman_decode(stream.payload, nbits, code).tolist()
+    monkeypatch.undo()
+    # every lane meets the next within the default overrun
+    walks = _lanes(monkeypatch, huffman._LANE_BLOCK_BITS, huffman._LANE_OVERRUN_BITS)
+    assert huffman_decode(stream.payload, nbits, code).tolist() == walked
+    assert walks == []
+    # codewords of 11 to 16 bits rarely meet within 128 bits
+    walks = _lanes(monkeypatch, huffman._LANE_BLOCK_BITS, 128)
+    assert huffman_decode(stream.payload, nbits, code).tolist() == walked
+    assert walks and walks[0][0] > 0
+    # each walk covers less than a block, an overrun and a codeword, and
+    # lanes resume between walks: they leave most of the payload to the
+    # lanes
+    most = huffman._LANE_BLOCK_BITS + 128 + code.max_length
+    assert all(end - pos < most for pos, end in walks)
+    assert any(pos > end for (_, end), (pos, _) in zip(walks, walks[1:]))
+    assert sum(end - pos for pos, end in walks) < nbits / 2
+
+
+def test_fixed_length_code_syncs_every_lane(monkeypatch):
+    walks = _lanes(monkeypatch, huffman._LANE_BLOCK_BITS, huffman._LANE_OVERRUN_BITS)
+    rng = np.random.default_rng(59)
+    code = HuffmanCode(dict.fromkeys(range(8), 3))
+    symbols = rng.integers(0, 8, size=(1 << 19) // 3 + 1)
+    payload, nbits = huffman_encode(symbols, code)
+    assert nbits >= 1 << 19
+    # lanes a multiple of 3 bits apart start on codewords: all meet
+    assert huffman_decode(payload, nbits, code).tolist() == symbols.tolist()
+    assert walks == []
+    # 4096 bits apart, two lanes in three would start off every codeword
+    # and never meet the true path; the walk decodes their blocks
+    code._gcd = 1
+    assert huffman_decode(payload, nbits, code).tolist() == symbols.tolist()
+    assert walks
+
+
 def test_decode_peak_memory_per_payload_bit():
     img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
     stream = compress(img, lossless=True)
@@ -324,6 +449,36 @@ def test_decode_peak_memory_per_payload_bit():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * stream.payload_bit_length
+
+
+def _decode_peak_per_bit(payload, nbits, code) -> float:
+    tracemalloc.start()
+    try:
+        huffman_decode(payload, nbits, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / nbits
+
+
+def test_decode_peak_memory_per_payload_bit_with_short_codewords():
+    # CR 5: 2-bit shortest codewords, so many symbols per payload bit
+    img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
+    stream = compress(img, target_cr=5.0)
+    assert min(stream.code_lengths.values()) == 2
+    code = HuffmanCode(stream.code_lengths)
+    assert _decode_peak_per_bit(stream.payload, stream.payload_bit_length, code) <= 12.5
+
+
+def test_decode_peak_memory_per_payload_bit_with_a_one_bit_codeword():
+    # the tallest lane table: a step can be a single bit
+    rng = np.random.default_rng(61)
+    code = huffman_build({0: 8, 1: 4, 2: 2, 3: 2})
+    assert code.lengths[0] == 1
+    symbols = rng.choice(4, size=600_000, p=[0.5, 0.25, 0.125, 0.125])
+    payload, nbits = huffman_encode(symbols, code)
+    assert nbits >= 1 << 20
+    assert _decode_peak_per_bit(payload, nbits, code) <= 20.5
 
 
 def test_decoding_builds_no_codeword_dicts():

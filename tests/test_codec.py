@@ -2,14 +2,17 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import medlink.codec as codec
-from medlink.bitstream import CompressedBitstream
+from medlink import huffman
+from medlink.bitstream import BitstreamError, CompressedBitstream
 from medlink.codec import (
     DecodeError,
     RateControlError,
@@ -17,6 +20,7 @@ from medlink.codec import (
     _frequencies,
     _ProbeSizer,
     _tokenize,
+    _zero_runs,
     compress,
     decompress,
 )
@@ -299,6 +303,22 @@ def test_invalid_target_rejected():
         compress(img, target_cr=0.5)
 
 
+def test_rate_search_returns_a_passing_point_whose_predecessor_fails():
+    # a ramp's container size does not fall monotonically along the grid:
+    # bisection lands on k = 164 while 159, 161 and 162 pass as well
+    img = synth_image("ramp", 256, 256, bit_depth=16, seed=1)
+    target = 113.8
+    sizer = _ProbeSizer(dwt_forward(img, 3))
+
+    def passes(k):
+        return img.total_bits / sizer.size(codec._grid_config(k, 3))[0] >= target
+
+    stream = compress(img, target_cr=target, levels=3)
+    assert stream.steps == codec._grid_config(164, 3).steps
+    assert passes(164) and not passes(163)
+    assert [k for k in range(150, 164) if passes(k)] == [159, 161, 162]
+
+
 def test_scale_grid_is_fine_enough_not_to_overshoot():
     # first grid point at or past the target should stay well below 1.25x
     for kind, seed in [("blobs", 1), ("mixed", 2), ("noise", 3)]:
@@ -446,6 +466,34 @@ def test_compress_peak_memory_is_bounded():
     assert peak <= 12 * img.pixels.nbytes
 
 
+def test_rate_search_peak_memory_at_1024_is_bounded():
+    # a probe finds its zero runs a chunk of the mask at a time, as int32:
+    # 7.18x measured, 7.66x with a mask-sized diff and int64 run edges
+    img = synth_image("blobs", 1024, 1024, bit_depth=16, seed=1)
+    tracemalloc.start()
+    try:
+        compress(img, target_cr=20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.4 * img.pixels.nbytes
+
+
+def test_zero_runs_match_a_whole_mask_diff_across_chunks():
+    rng = np.random.default_rng(89)
+    chunk = codec._RUN_CHUNK
+    for size in (0, 1, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+        for density in (0.0, 0.3, 0.9, 1.0):
+            mask = rng.random(size) < density
+            # runs open across both chunk edges
+            mask[chunk - 3 : chunk + 3] = True
+            edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+            starts, lengths = _zero_runs(mask)
+            assert starts.dtype == lengths.dtype == np.int32
+            assert starts.tolist() == edges[::2].tolist()
+            assert lengths.tolist() == (edges[1::2] - edges[::2]).tolist()
+
+
 def test_decompress_peak_memory_is_bounded():
     # the decoded int32 stream (the pyramid of the quantizer indices) is
     # released before the inverse transform; holding it costs
@@ -459,3 +507,43 @@ def test_decompress_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 11 * img.pixels.nbytes
+
+
+def _decompressed(container: bytes):
+    """The pixels a container decodes to, or the documented error it
+    raises as (type name, message); any other exception propagates."""
+    try:
+        return decompress(CompressedBitstream.from_bytes(container)).pixels.tobytes()
+    except (BitstreamError, DecodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_mutated_containers_on_the_lane_path_fail_cleanly_or_decode_like_the_walk(
+    monkeypatch,
+):
+    img = synth_image("blobs", 256, 256, bit_depth=16, seed=1)
+    stream = compress(img, target_cr=10.0)
+    # the payload is decoded by lanes
+    assert stream.payload_bit_length >= huffman._LANE_MIN_BITS
+    container = stream.to_bytes()
+    rng = np.random.default_rng(88)
+    cases = []
+    # about 5 ms a case once the payload is decoded, so 60 keep the test
+    # under half a second
+    for _ in range(60):
+        mutated = bytearray(container)
+        for _ in range(int(rng.integers(1, 4))):
+            mutated[int(rng.integers(len(mutated)))] = int(rng.integers(256))
+        cases.append(bytes(mutated))
+    cases += [container[:cut] for cut in range(0, len(container), 211)]
+    kinds = Counter()
+    for case in cases:
+        start = time.perf_counter()
+        outcome = _decompressed(case)
+        assert time.perf_counter() - start < 0.25
+        kinds[outcome[0] if isinstance(outcome, tuple) else "clean"] += 1
+        if not isinstance(outcome, tuple):
+            with monkeypatch.context() as patch:
+                patch.setattr(huffman, "_LANE_MIN_BITS", 1 << 62)
+                assert _decompressed(case) == outcome
+    assert set(kinds) == {"BitstreamError", "DecodeError", "clean"}, kinds

@@ -330,23 +330,29 @@ def _check_truncations_and_bit_flips():
     assert errors == {"no codeword matches", "truncated codeword"}
 
 
-def _lanes(monkeypatch, block, overrun):
+def _lanes(monkeypatch, block=None, overrun=None):
     """Decode every payload by lanes ``block`` bits apart that run
-    ``overrun`` bits on; returns the (from, to) positions of the
-    sequential walks the decoder makes, which on lanes are its fallbacks."""
+    ``overrun`` bits on, by default those of ``_lane_geometry``; returns
+    the (from, to) positions of the sequential walks the decoder makes,
+    which on lanes are its fallbacks."""
     monkeypatch.setattr(huffman, "_LANE_MIN_BITS", 1)
-    monkeypatch.setattr(huffman, "_LANE_BLOCK_BITS", block)
-    monkeypatch.setattr(huffman, "_LANE_OVERRUN_BITS", overrun)
+    if block is not None:
+        monkeypatch.setattr(huffman, "_lane_geometry", lambda code: (block, overrun))
     walks = []
-    walk = huffman._walk
+    monkeypatch.setattr(huffman, "_walk", _recording(huffman._walk, walks))
+    return walks
+
+
+def _recording(walk, walks):
+    """``walk`` that appends the (from, to) positions of each call to
+    ``walks``."""
 
     def recorded(lengths, pos, stop, starts):
         end = walk(lengths, pos, stop, starts)
         walks.append((pos, end))
         return end
 
-    monkeypatch.setattr(huffman, "_walk", recorded)
-    return walks
+    return recorded
 
 
 # blocks short against the suites' payloads; overruns short enough that
@@ -401,28 +407,66 @@ def test_lanes_fall_back_and_resume_on_a_real_payload(monkeypatch):
     nbits = stream.payload_bit_length
     assert nbits >= huffman._LANE_MIN_BITS
     code = HuffmanCode(stream.code_lengths)
-    monkeypatch.setattr(huffman, "_LANE_MIN_BITS", nbits + 1)
-    walked = huffman_decode(stream.payload, nbits, code).tolist()
-    monkeypatch.undo()
+    walked = _walked(monkeypatch, stream.payload, nbits, code)
     # every lane meets the next within the default overrun
-    walks = _lanes(monkeypatch, huffman._LANE_BLOCK_BITS, huffman._LANE_OVERRUN_BITS)
+    walks = _lanes(monkeypatch)
     assert huffman_decode(stream.payload, nbits, code).tolist() == walked
     assert walks == []
     # codewords of 11 to 16 bits rarely meet within 128 bits
-    walks = _lanes(monkeypatch, huffman._LANE_BLOCK_BITS, 128)
+    block = huffman._lane_geometry(code)[0]
+    walks = _lanes(monkeypatch, block, 128)
     assert huffman_decode(stream.payload, nbits, code).tolist() == walked
     assert walks and walks[0][0] > 0
     # each walk covers less than a block, an overrun and a codeword, and
     # lanes resume between walks: they leave most of the payload to the
     # lanes
-    most = huffman._LANE_BLOCK_BITS + 128 + code.max_length
+    most = block + 128 + code.max_length
     assert all(end - pos < most for pos, end in walks)
     assert any(pos > end for (_, end), (pos, _) in zip(walks, walks[1:]))
     assert sum(end - pos for pos, end in walks) < nbits / 2
 
 
+def _walked(monkeypatch, payload, nbits, code):
+    """The decode by the sequential walk from bit 0 alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(huffman, "_LANE_MIN_BITS", nbits + 1)
+        return huffman_decode(payload, nbits, code).tolist()
+
+
+def test_lanes_decode_a_medium_lossy_payload_like_the_walk(monkeypatch):
+    img = synth_image("blobs", 256, 256, bit_depth=16, seed=1)
+    stream = compress(img, target_cr=10.0)
+    nbits = stream.payload_bit_length
+    # lanes of 2**16 bits on: the old lane threshold was 2**18
+    assert huffman._LANE_MIN_BITS <= nbits < 1 << 18
+    code = HuffmanCode(stream.code_lengths)
+    assert huffman._lane_geometry(code) == (1024, 256)
+    walked = _walked(monkeypatch, stream.payload, nbits, code)
+    walks = []
+    monkeypatch.setattr(huffman, "_walk", _recording(huffman._walk, walks))
+    assert huffman_decode(stream.payload, nbits, code).tolist() == walked
+    assert walks == []
+
+
+def test_lanes_decode_losslessly_coded_noise_like_the_walk(monkeypatch):
+    # 13- to 16-bit codewords of near-equal frequency: lanes meet late
+    img = synth_image("noise", 256, 256, bit_depth=16, seed=0)
+    stream = compress(img, lossless=True)
+    nbits = stream.payload_bit_length
+    code = HuffmanCode(stream.code_lengths)
+    # the longest overrun, and blocks no longer than for shorter codewords
+    assert huffman._lane_geometry(code) == (4096, 2048)
+    walked = _walked(monkeypatch, stream.payload, nbits, code)
+    walks = []
+    monkeypatch.setattr(huffman, "_walk", _recording(huffman._walk, walks))
+    assert huffman_decode(stream.payload, nbits, code).tolist() == walked
+    # 10 of 244 lanes fell back measured; an overrun of 1024 made 49
+    assert 0 < len(walks) <= 25
+    assert sum(end - pos for pos, end in walks) < nbits / 10
+
+
 def test_fixed_length_code_syncs_every_lane(monkeypatch):
-    walks = _lanes(monkeypatch, huffman._LANE_BLOCK_BITS, huffman._LANE_OVERRUN_BITS)
+    walks = _lanes(monkeypatch)
     rng = np.random.default_rng(59)
     code = HuffmanCode(dict.fromkeys(range(8), 3))
     symbols = rng.integers(0, 8, size=(1 << 19) // 3 + 1)
@@ -431,9 +475,11 @@ def test_fixed_length_code_syncs_every_lane(monkeypatch):
     # lanes a multiple of 3 bits apart start on codewords: all meet
     assert huffman_decode(payload, nbits, code).tolist() == symbols.tolist()
     assert walks == []
-    # 4096 bits apart, two lanes in three would start off every codeword
+    # 1024 bits apart, two lanes in three would start off every codeword
     # and never meet the true path; the walk decodes their blocks
+    assert huffman._lane_geometry(code) == (1023, 256)
     code._gcd = 1
+    assert huffman._lane_geometry(code) == (1024, 256)
     assert huffman_decode(payload, nbits, code).tolist() == symbols.tolist()
     assert walks
 
@@ -486,11 +532,142 @@ def test_decoding_builds_no_codeword_dicts():
     stream = compress(img, lossless=True)
     code = HuffmanCode(stream.code_lengths)
     symbols = huffman_decode(stream.payload, stream.payload_bit_length, code)
-    assert "_bitstrings" not in code.__dict__
+    assert "_entries" not in code.__dict__
     assert "codes" not in code.__dict__
-    # the encoder derives them on first use, and they match what was decoded
+    # the encoder derives its table on first use, and it reproduces the
+    # payload from what was decoded
     assert huffman_encode(symbols, code) == (stream.payload, stream.payload_bit_length)
-    assert "_bitstrings" in code.__dict__
+    assert "_entries" in code.__dict__
+    assert "codes" not in code.__dict__
+
+
+def _encode_by_join(symbols, code):
+    """Reference encoder: joins the codewords as strings of bits and packs
+    them; no per-symbol numpy."""
+    table = {s: format(c, f"0{code.lengths[s]}b") for s, c in code.codes.items()}
+    try:
+        bits = "".join([table[s] for s in symbols])
+    except KeyError as exc:
+        raise HuffmanError(f"symbol {exc.args[0]} not in code table") from None
+    if not bits:
+        return b"", 0
+    arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    return np.packbits(arr).tobytes(), len(bits)
+
+
+def _encoded(encode, symbols, code):
+    try:
+        return encode(symbols, code)
+    except HuffmanError as exc:
+        return str(exc)
+
+
+def _assert_encodes_like_join(symbols, code):
+    listed = symbols.tolist() if isinstance(symbols, np.ndarray) else symbols
+    expected = _encoded(_encode_by_join, listed, code)
+    assert _encoded(huffman_encode, symbols, code) == expected
+    return expected
+
+
+def test_encoder_matches_join_on_random_codes():
+    rng = np.random.default_rng(67)
+    chunk = huffman._ENCODE_TOKENS
+    wide = 0
+    for i, code in enumerate(_random_codes(rng)):
+        wide += code._entries[2] is not None
+        alphabet = np.array(sorted(code.lengths))
+        # a partial word carried across one and two chunk edges
+        for size in (0, 1, 100) + ((chunk - 1, chunk, 2 * chunk + 7) if i % 5 == 0 else ()):
+            symbols = rng.choice(alphabet, size=size)
+            assert _assert_encodes_like_join(symbols, code)[1] >= size
+            assert _assert_encodes_like_join(symbols.astype(np.int32), code)[1] >= size
+    # symbols drawn from [-60, 60): every span is narrow
+    assert wide == 0
+
+
+def test_encoder_packs_across_word_and_chunk_edges():
+    rng = np.random.default_rng(71)
+    chunk = huffman._ENCODE_TOKENS
+    # lengths 1 to 57: symbol s has length s + 1, and 56 and 57 have 57
+    code = huffman_build(_fibonacci_frequencies(58))
+    by_length = {n: s for s, n in sorted(code.lengths.items(), reverse=True)}
+    symbols = rng.choice(np.array(sorted(code.lengths)), size=2 * chunk + 3)
+    # 57- and 1-bit codewords on both sides of each chunk edge
+    for edge in (chunk, 2 * chunk):
+        symbols[edge - 2 : edge + 2] = [by_length[57], by_length[1]] * 2
+    # 57 + 7 bits end on the first word boundary; 57 + 57 cross the second
+    symbols[:4] = [by_length[57], by_length[7], by_length[57], by_length[57]]
+    widths = np.array([code.lengths[s] for s in symbols.tolist()])
+    ends = np.cumsum(widths)
+    assert ends[1] == 64 and ends[2] < 128 < ends[3]
+    # many codewords end on a word boundary, many cross one
+    assert np.count_nonzero(ends % 64 == 0) > 100
+    assert np.count_nonzero(ends // 64 != (ends - widths) // 64) > 1000
+    payload, nbits = _assert_encodes_like_join(symbols, code)
+    assert nbits == ends[-1]
+    assert huffman_decode(payload, nbits, code).tolist() == symbols.tolist()
+
+
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "symbols",
+    [
+        [INT32_MIN, INT32_MAX, 0],  # a wide span: searched
+        list(range(INT32_MIN, INT32_MIN + 40)),  # narrow spans: one table
+        list(range(INT32_MAX - 39, INT32_MAX + 1)),
+    ],
+    ids=["wide", "narrow-low", "narrow-high"],
+)
+def test_encoder_looks_up_symbols_at_the_int32_limits(symbols):
+    rng = np.random.default_rng(73)
+    code = huffman_build({s: int(rng.integers(1, 100)) for s in symbols})
+    assert (code._entries[2] is not None) == (len(symbols) == 3)
+    stream = rng.choice(np.array(symbols, dtype=np.int32), size=5000)
+    for each in (stream, stream.astype(np.int64), stream.tolist()):
+        payload, nbits = _assert_encodes_like_join(each, code)
+        assert huffman_decode(payload, nbits, code).tolist() == stream.tolist()
+    # unknown symbols next to and far from the table name the first one
+    for unknown in (symbols[0] - 1, symbols[-1] + 1, 2**40, -(2**40)):
+        listed = stream.tolist()
+        listed[4000:4000] = [unknown, symbols[0] - 1]
+        message = _assert_encodes_like_join(np.array(listed), code)
+        assert message == f"symbol {unknown} not in code table"
+
+
+def test_encoder_handles_empty_input_and_names_the_first_unknown_symbol():
+    chunk = huffman._ENCODE_TOKENS
+    code = huffman_build({1: 5, 2: 3, 4: 1})
+    for empty in ([], np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)):
+        assert huffman_encode(empty, code) == (b"", 0)
+    # a symbol inside the table's span but not in it, in a later chunk
+    symbols = np.ones(2 * chunk, dtype=np.int64)
+    symbols[chunk + 5] = 3
+    symbols[chunk + 9] = 9
+    assert _assert_encodes_like_join(symbols, code) == "symbol 3 not in code table"
+    # symbols no int64 holds, and floats, are looked up as they are
+    for symbols in ([1, 2**64], [1, 2**63, -1], np.array([2**63], dtype=np.uint64), [1.5]):
+        message = _assert_encodes_like_join(symbols, code)
+        assert message.endswith("not in code table")
+    assert _assert_encodes_like_join([1.0, 4.0], code) == huffman_encode([1, 4], code)
+
+
+def test_encode_peak_memory_is_below_the_joins():
+    # CR 5: 277,914 tokens; joining them as strings took 5.15 MiB
+    img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
+    stream = compress(img, target_cr=5.0)
+    code = HuffmanCode(stream.code_lengths)
+    tokens = huffman_decode(stream.payload, stream.payload_bit_length, code)
+    tokens = tokens.astype(np.int32)
+    tracemalloc.start()
+    try:
+        encoded = huffman_encode(tokens, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert encoded == (stream.payload, stream.payload_bit_length)
+    assert peak <= 5.15 * 2**20
 
 
 def _heap_lengths(freqs):

@@ -34,6 +34,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .huffman import MAX_CODE_LENGTH
 from .image_io import MAX_SAMPLES
 
@@ -45,6 +47,11 @@ _FLAGS = 1  # bit 0: dead-zone quantization, the only quantizer
 # code table symbols are quantizer indices (< 2**20) and zero-run
 # lengths (<= MAX_SAMPLES), so the decoder's int32 stream holds them all
 _SYMBOL_LIMIT = 1 << 31
+# a zigzag value below 2**(7 * i) takes at most i varint bytes
+_VARINT_LIMITS = np.array([1 << 7 * i for i in range(1, 9)], dtype=np.int64)
+# magic, version, geometry, depth, levels, flags and step count; the
+# entry count; the payload bit length
+_FIXED_HEADER_BYTES = 18 + 4 + 8
 
 
 class BitstreamError(ValueError):
@@ -235,8 +242,8 @@ def pack_header(
     code_lengths: dict[int, int],
     payload_bit_length: int,
 ) -> bytes:
-    """Serialize the fixed header; also used to size a stream before
-    committing to an encode."""
+    """Serialize the fixed header; ``header_size`` gives its length
+    without packing it."""
     if len(steps) != 1 + 3 * levels:
         raise BitstreamError("step table does not match level count")
     buf = bytearray()
@@ -257,3 +264,14 @@ def pack_header(
         buf.append(length)
     buf += struct.pack("<Q", payload_bit_length)
     return bytes(buf)
+
+
+def header_size(levels: int, symbols: np.ndarray) -> int:
+    """Byte length of ``pack_header``'s output for ``levels`` and a code
+    table over ``symbols`` (distinct, within +-2**62), without packing it."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    zigzag = (symbols << 1) ^ (symbols >> 63)
+    # one varint byte, one more per limit reached, and one length byte
+    varint_bytes = np.searchsorted(_VARINT_LIMITS, zigzag, side="right")
+    entry_bytes = 2 * symbols.size + int(varint_bytes.sum())
+    return _FIXED_HEADER_BYTES + 4 * (1 + 3 * levels) + entry_bytes

@@ -6,18 +6,24 @@ size meets the requested compression ratio while the next finer scale's
 does not, or that is scale 1.0. The encoded size need not fall
 monotonically along the grid, so a finer scale can meet the ratio too.
 The search covers the whole grid, scale 1.0 included, so there is no
-separate lossless probe. A probe's exact size comes from each plane's
-table of distinct values (quantized in place of the plane) and a zero
-mask from one magnitude compare per plane; symbol counts, the Huffman
-code lengths, the payload bits (``lengths @ counts``) and the header
-follow from those. No quantized plane, token array, Huffman code or
-payload exists until the chosen config is encoded, once per
-``compress``. ``decompress`` inverts the whole chain; with all quantizer
-steps at 1 the round trip is bit-exact. Coefficients travel as int32
-from ``dwt_forward`` to the inverse; the decoder clamps dequantized
-values to ``dwt.COEFFICIENT_BOUND``, which no coefficient of an encoded
-image reaches, so a hostile container cannot overflow the inverse
-transform.
+separate lossless probe. A probe first quantizes the nonzero part of
+each plane's table of distinct values (the values at least a step from
+zero) in place of the plane. The empirical entropy of those nonzero
+tokens plus the header entries they force is a lower bound on the
+container (Shannon's source-coding bound), and a probe whose bound
+already misses the ratio fails there. Any other probe is sized exactly:
+the dead-zone quantizer zeroes exactly the coefficients with |c| < step,
+so one magnitude compare per plane gives the zero mask and its runs, and
+symbol counts, the Huffman code lengths, the payload bits
+(``lengths @ counts``) and the header bytes (counted in numpy by
+``bitstream.header_size``) follow. No quantized plane, token array,
+Huffman code, header or payload exists until the chosen config is
+encoded, once per ``compress``. ``decompress`` inverts the whole chain;
+with all quantizer steps at 1 the round trip is bit-exact. Coefficients
+travel as int32 from ``dwt_forward`` to the inverse; the decoder clamps
+dequantized values to ``dwt.COEFFICIENT_BOUND``, which no coefficient of
+an encoded image reaches, so a hostile container cannot overflow the
+inverse transform.
 
 The entropy stage sees the coefficient planes as one stream (LL first,
 then detail planes, finest level to deepest). Zero runs become the token
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstream import CompressedBitstream, pack_header
+from .bitstream import CompressedBitstream, header_size, pack_header
 from .dwt import SubbandPyramid, dwt_forward, dwt_inverse
 from .huffman import (
     HuffmanCode,
@@ -170,65 +176,84 @@ class _ProbeSizer:
 
     Each plane is kept as its table of distinct values and counts, and
     the whole stream as coefficient magnitudes. A probe quantizes only the
-    tables, which gives the nonzero token counts, and finds the zero runs
-    from one magnitude compare per plane. Runs cross plane boundaries, as
-    they do in ``_tokenize``.
+    part of each table that maps to a nonzero index, which gives the
+    nonzero token counts. The dead-zone quantizer maps c to 0 exactly when
+    |c| < step, so the zero runs come from one magnitude compare per
+    plane. Runs cross plane boundaries, as they do in ``_tokenize``.
     """
 
     def __init__(self, pyramid: SubbandPyramid):
-        self.pyramid = pyramid
         planes = pyramid.plane_arrays()
         self.tables = [_value_table(plane.ravel()) for plane in planes]
         self.bounds = np.cumsum([0] + [plane.size for plane in planes]).tolist()
         self.magnitudes = np.abs(pyramid.coefficients)
 
-    def frequencies(self, config: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Token symbols in ascending order with their counts, equal to
-        ``_frequencies`` of the tokenized, quantized stream."""
-        zero = np.empty(self.magnitudes.size, dtype=bool)
+    def nonzero(self, config: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The stream's nonzero quantizer indices in ascending order, with
+        their counts."""
         symbols, weights = [], []
-        for (values, counts), step, lo, hi in zip(
-            self.tables, config.steps, self.bounds, self.bounds[1:]
-        ):
-            indices = _quantize_plane(values, step)
-            nonzero = indices != 0
-            symbols.append(indices[nonzero])
-            weights.append(counts[nonzero])
-            # the quantizer is monotone in |c|, so the plane's zeros are
-            # exactly the magnitudes below its smallest nonzero-mapped one
-            threshold = np.abs(values[nonzero]).min(initial=np.iinfo(values.dtype).max)
-            np.less(self.magnitudes[lo:hi], threshold, out=zero[lo:hi])
-        run_lengths = _zero_runs(zero)[1]  # frees the run starts here
-        if run_lengths.size:
-            # each run is the pair (0, length): the lengths come from their
-            # own table, and the 0 marker counts every run
-            lengths, runs = _value_table(run_lengths)
-            symbols += [lengths, np.zeros(1, lengths.dtype)]
-            weights += [runs, np.array([run_lengths.size])]
-        return _value_table(np.concatenate(symbols), np.concatenate(weights))
+        for (values, counts), step in zip(self.tables, config.steps):
+            # values ascend, so the nonzero part is those <= -step and >= step
+            below, above = np.searchsorted(values, [1 - step, step])
+            part = np.concatenate([values[:below], values[above:]])
+            symbols.append(_quantize_plane(part, step))
+            weights.append(np.concatenate([counts[:below], counts[above:]]))
+        symbols = np.concatenate(symbols)
+        if not symbols.size:
+            return symbols, np.zeros(0, dtype=np.int64)
+        return _value_table(symbols, np.concatenate(weights))
 
-    def size(self, config: QuantizerConfig) -> tuple[int, int]:
+    def frequencies(self, config: QuantizerConfig, nonzero=None) -> tuple[np.ndarray, np.ndarray]:
+        """Token symbols in ascending order with their counts, equal to
+        ``_frequencies`` of the tokenized, quantized stream. ``nonzero``
+        is ``self.nonzero(config)`` when the caller has it."""
+        symbols, counts = self.nonzero(config) if nonzero is None else nonzero
+        zero = np.empty(self.magnitudes.size, dtype=bool)
+        for step, lo, hi in zip(config.steps, self.bounds, self.bounds[1:]):
+            np.less(self.magnitudes[lo:hi], step, out=zero[lo:hi])
+        run_lengths = _zero_runs(zero)[1]  # frees the run starts here
+        if not run_lengths.size:
+            return symbols, counts
+        # each run is the pair (0, length): the lengths come from their own
+        # table, and the 0 marker counts every run
+        lengths, runs = _value_table(run_lengths)
+        return _value_table(
+            np.concatenate([symbols, lengths, np.zeros(1, lengths.dtype)]),
+            np.concatenate([counts, runs, [run_lengths.size]]),
+        )
+
+    def size(self, config: QuantizerConfig, nonzero=None) -> tuple[int, int]:
         """(total container bits, payload bits) under ``config``."""
-        symbols, counts = self.frequencies(config)
+        symbols, counts = self.frequencies(config, nonzero)
         lengths = code_lengths(counts)
         payload_bits = int(lengths @ counts)
-        pyramid = self.pyramid
-        header = pack_header(
-            pyramid.width,
-            pyramid.height,
-            pyramid.bit_depth,
-            config.levels,
-            config.steps,
-            dict(zip(symbols.tolist(), lengths.tolist())),
-            payload_bits,
-        )
-        return (len(header) + (payload_bits + 7) // 8) * 8, payload_bits
+        header = header_size(config.levels, symbols)
+        return (header + (payload_bits + 7) // 8) * 8, payload_bits
+
+    def bound(self, config: QuantizerConfig, nonzero=None) -> float:
+        """A lower bound on the total container bits under ``config``,
+        from the nonzero tokens alone: their empirical entropy plus the
+        header entries they force. Their codewords form a prefix code of
+        their own and their counts are at most the real ones, so by the
+        Gibbs inequality no container under ``config`` is smaller."""
+        symbols, counts = self.nonzero(config) if nonzero is None else nonzero
+        entropy_bits = float(counts @ np.log2(counts.sum() / counts))
+        return entropy_bits + 8 * header_size(config.levels, symbols)
 
 
 def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitstream:
     tokens = _tokenize(quantize(pyramid, config).coefficients)
     code = huffman_build(_frequencies(tokens))
     payload, payload_bits = huffman_encode(tokens, code)
+    header = pack_header(
+        pyramid.width,
+        pyramid.height,
+        pyramid.bit_depth,
+        config.levels,
+        config.steps,
+        code.lengths,
+        payload_bits,
+    )
     return CompressedBitstream(
         width=pyramid.width,
         height=pyramid.height,
@@ -238,6 +263,7 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitst
         code_lengths=code.lengths,
         payload=payload,
         payload_bit_length=payload_bits,
+        _header_cache=header,
     )
 
 
@@ -248,7 +274,7 @@ def _grid_config(k: int, levels: int) -> QuantizerConfig:
 
 def _rate_search(
     pyramid: SubbandPyramid, raw_bits: int, target_cr: float
-) -> tuple[QuantizerConfig, int]:
+) -> tuple[QuantizerConfig, int, int]:
     """A grid point k whose container reaches ``target_cr``, where k = 0
     or point k - 1 does not reach it.
 
@@ -256,30 +282,41 @@ def _rate_search(
     (lossless) included. The point is the smallest passing one only where
     the container size falls monotonically along the grid, and it need
     not: on a 256x256 ramp at target 113.8 the search returns k = 164,
-    while 159, 161 and 162 pass. Returns the chosen config and its
-    predicted payload bits.
+    while 159, 161 and 162 pass. A bisection probe whose lower bound
+    (``_ProbeSizer.bound``) already exceeds ``raw_bits / target_cr``
+    fails without its zero-run scan, code lengths or header; the coarsest
+    probe is always sized, since its ratio is what RateControlError
+    reports.
+    Returns the chosen config with its container bits and payload bits.
     """
     sizer = _ProbeSizer(pyramid)
-    sizes: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def total_bits(k: int) -> int:
-        config = _grid_config(k, pyramid.levels)
-        if config.steps not in sizes:
-            sizes[config.steps] = sizer.size(config)
-        return sizes[config.steps][0]
-
-    coarsest_cr = raw_bits / total_bits(_SCALE_GRID_MAX)
+    budget = raw_bits / target_cr
+    coarsest = _grid_config(_SCALE_GRID_MAX, pyramid.levels)
+    # steps -> (total bits, payload bits), or None where the bound failed
+    sizes = {coarsest.steps: sizer.size(coarsest)}
+    coarsest_cr = raw_bits / sizes[coarsest.steps][0]
     if coarsest_cr < target_cr:
         raise RateControlError(target_cr, coarsest_cr)
+
+    def passes(k: int) -> bool:
+        config = _grid_config(k, pyramid.levels)
+        if config.steps not in sizes:
+            nonzero = sizer.nonzero(config)
+            # the margin absorbs float rounding in the bound's entropy
+            hopeless = sizer.bound(config, nonzero) > budget * (1 + 1e-9)
+            sizes[config.steps] = None if hopeless else sizer.size(config, nonzero)
+        size = sizes[config.steps]
+        return size is not None and raw_bits / size[0] >= target_cr
+
     lo, hi = 0, _SCALE_GRID_MAX
     while lo < hi:
         mid = (lo + hi) // 2
-        if raw_bits / total_bits(mid) >= target_cr:
+        if passes(mid):
             hi = mid
         else:
             lo = mid + 1
     config = _grid_config(lo, pyramid.levels)
-    return config, sizes[config.steps][1]
+    return (config, *sizes[config.steps])
 
 
 def compress(
@@ -295,11 +332,14 @@ def compress(
     falls monotonically along the grid, that is the smallest scale
     reaching the target, the best quality the grid offers at that ratio;
     elsewhere a finer scale can reach it too (see ``_rate_search``).
-    Probes are sized from per-plane value tables and the zero mask, so no
-    token array exists until the chosen config is quantized and encoded;
-    there is no separate lossless probe. ``lossless`` skips rate control
-    entirely and encodes with unit steps. Raises RateControlError when
-    even the coarsest grid point cannot reach the target.
+    Probes are bounded from per-plane value tables and, where the bound
+    does not fail them, sized exactly from those tables and the zero
+    mask, so no token array exists until the chosen config is quantized
+    and encoded; there is no separate lossless probe. An encoded
+    container of another size than its probe priced raises CodecError.
+    ``lossless`` skips rate control entirely and encodes with unit steps.
+    Raises RateControlError when even the coarsest grid point cannot
+    reach the target.
     """
     if target_cr < 1.0:
         raise CodecError(f"target compression ratio {target_cr:g} must be >= 1")
@@ -310,9 +350,9 @@ def compress(
     pyramid = dwt_forward(image, levels)
     if lossless:
         return _encode(pyramid, _grid_config(0, levels))
-    config, payload_bits = _rate_search(pyramid, image.total_bits, target_cr)
+    config, total_bits, payload_bits = _rate_search(pyramid, image.total_bits, target_cr)
     stream = _encode(pyramid, config)
-    if stream.payload_bit_length != payload_bits:
+    if (stream.bit_length, stream.payload_bit_length) != (total_bits, payload_bits):
         raise CodecError("size accounting mismatch during encode")
     return stream
 

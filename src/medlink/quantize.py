@@ -12,6 +12,7 @@ only acts on streams no encoder writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ _NORM_LOW = 1.224744871391589  # sqrt(3/2)
 _NORM_HIGH = 0.8477912478906585  # sqrt(23/32)
 
 
+@lru_cache(maxsize=None)  # pure, and levels take at most 13 values
 def synthesis_gains(levels: int) -> tuple[float, ...]:
     """Per-plane synthesis gains in canonical plane order.
 

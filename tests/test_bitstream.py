@@ -1,5 +1,6 @@
 import struct
 
+import numpy as np
 import pytest
 
 from medlink.bitstream import (
@@ -10,6 +11,8 @@ from medlink.bitstream import (
     _unzigzag,
     _write_uvarint,
     _zigzag,
+    header_size,
+    pack_header,
 )
 from medlink.huffman import MAX_CODE_LENGTH
 from medlink.image_io import MAX_SAMPLES
@@ -259,3 +262,29 @@ def test_code_table_out_of_order_rejected_at_the_first_late_entry():
     with pytest.raises(BitstreamError, match="symbol 2 does not follow 700") as err:
         CompressedBitstream.from_bytes(_with_entries(entries))
     assert err.value.offset == 53
+
+
+# symbols whose zigzag value sits on each side of every varint byte
+# boundary (2**7, 2**14, 2**21, 2**28), plus 0, +-1 and the int32 limits
+_VARINT_EDGE_SYMBOLS = sorted(
+    {0, 1, -1, 2**31 - 1, -(2**31)}
+    | {_unzigzag(z) for i in range(1, 5) for z in (2 ** (7 * i) - 1, 2 ** (7 * i))}
+)
+
+
+@pytest.mark.parametrize("symbol", _VARINT_EDGE_SYMBOLS)
+@pytest.mark.parametrize("levels", [1, 3])
+def test_header_size_counts_each_varint_width(symbol, levels):
+    steps = (1,) * (1 + 3 * levels)
+    header = pack_header(8, 8, 16, levels, steps, {symbol: 1}, 5)
+    assert header_size(levels, np.array([symbol], dtype=np.int32)) == len(header)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_header_size_counts_a_whole_table(dtype):
+    lengths = dict.fromkeys(_VARINT_EDGE_SYMBOLS, 7)
+    header = pack_header(4096, 4096, 8, 13, (9,) * 40, lengths, 2**40)
+    assert header_size(13, np.array(_VARINT_EDGE_SYMBOLS, dtype=dtype)) == len(header)
+    assert header_size(2, np.zeros(0, dtype=dtype)) == len(
+        pack_header(4, 4, 8, 2, (1,) * 7, {}, 0)
+    )

@@ -410,6 +410,17 @@ def test_sweep_writes_rate_and_fragmentation_tables(tmp_path):
         assert rates == sorted(rates)
 
 
+def test_sweep_writes_a_curve_whose_distortion_falls(tmp_path):
+    # exited 3 while the sweep required MSE to rise with the target
+    rc = main([
+        "sweep", "--input", "synth:ramp:64x64x16:seed=1", "--cr-points", "22,22.5",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    low, high = _rows(tmp_path / "ramp-64x64-s1_rd.csv")
+    assert float(high["mse"]) < float(low["mse"])
+
+
 def test_sweep_rejects_bad_rate_points(tmp_path):
     base = ["sweep", "--input", SPEC_SMALL, "--out", str(tmp_path)]
     assert main([*base, "--cr-points", "20,10"]) == 2

@@ -319,6 +319,117 @@ def test_rate_search_returns_a_passing_point_whose_predecessor_fails():
     assert [k for k in range(150, 164) if passes(k)] == [159, 161, 162]
 
 
+def _exact_rate_search(pyramid, raw_bits, target_cr):
+    """Reference search: the same bisection, with every probe sized
+    exactly."""
+    sizer = _ProbeSizer(pyramid)
+
+    def size(k):
+        return sizer.size(codec._grid_config(k, pyramid.levels))
+
+    coarsest_cr = raw_bits / size(codec._SCALE_GRID_MAX)[0]
+    if coarsest_cr < target_cr:
+        raise RateControlError(target_cr, coarsest_cr)
+    lo, hi = 0, codec._SCALE_GRID_MAX
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if raw_bits / size(mid)[0] >= target_cr:
+            hi = mid
+        else:
+            lo = mid + 1
+    return (codec._grid_config(lo, pyramid.levels), *size(lo)), lo
+
+
+@pytest.mark.parametrize(
+    "kind,width,height,depth,levels,target",
+    [
+        ("ramp", 256, 256, 16, 3, 113.8),
+        ("ramp", 61, 47, 8, 1, 1.0),
+        ("blobs", 256, 256, 16, 3, 40.0),
+        ("blobs", 83, 129, 8, 3, 5.0),
+        ("mixed", 128, 96, 16, 3, 20.0),
+        ("mixed", 77, 77, 16, 1, 10.0),
+        ("noise", 64, 64, 16, 3, 2.5),
+        ("noise", 45, 38, 8, 1, 1.3),
+    ],
+)
+def test_rate_search_matches_a_bisection_that_sizes_every_probe(
+    kind, width, height, depth, levels, target
+):
+    img = synth_image(kind, width, height, bit_depth=depth, seed=7)
+    pyramid = dwt_forward(img, levels)
+    expected, k = _exact_rate_search(pyramid, img.total_bits, target)
+    assert codec._rate_search(pyramid, img.total_bits, target) == expected
+    if kind == "ramp" and target == 113.8:
+        assert k == 164
+    if target == 1.0:
+        assert k == 0
+
+
+def test_unreachable_target_reports_the_exact_coarsest_ratio():
+    img = synth_image("noise", 64, 64, bit_depth=8, seed=7)
+    pyramid = dwt_forward(img, 3)
+    with pytest.raises(RateControlError) as reference:
+        _exact_rate_search(pyramid, img.total_bits, 1e6)
+    with pytest.raises(RateControlError) as searched:
+        codec._rate_search(pyramid, img.total_bits, 1e6)
+    assert searched.value.best_cr == reference.value.best_cr
+
+
+def test_entropy_bound_never_exceeds_the_exact_size():
+    # every distinct grid config of each image kind, at odd sizes, both
+    # depths and levels 1 and 3; on noise the bound comes within 1e-4 of
+    # the exact size
+    worst = 0.0
+    for seed, (kind, width, height, depth, levels) in enumerate(
+        [
+            ("ramp", 40, 41, 8, 1),
+            ("ramp", 40, 41, 16, 3),
+            ("noise", 29, 35, 8, 3),
+            ("noise", 29, 35, 16, 1),
+            ("blobs", 40, 33, 16, 3),
+            ("mixed", 33, 39, 8, 1),
+        ]
+    ):
+        img = synth_image(kind, width, height, bit_depth=depth, seed=seed)
+        sizer = _ProbeSizer(dwt_forward(img, levels))
+        grid = range(codec._SCALE_GRID_MAX + 1)
+        for config in {codec._grid_config(k, levels) for k in grid}:
+            bound, exact = sizer.bound(config), sizer.size(config)[0]
+            assert bound <= exact, (kind, depth, levels, config.steps)
+            worst = max(worst, bound / exact)
+    assert worst > 0.9999
+
+
+def test_bound_spares_the_zero_run_scan_of_hopeless_probes(monkeypatch):
+    probes, scans = [], []
+
+    def counting(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_ProbeSizer, "nonzero", counting(probes, _ProbeSizer.nonzero))
+    monkeypatch.setattr(codec, "_zero_runs", counting(scans, _zero_runs))
+    img = synth_image("blobs", 256, 256, bit_depth=16, seed=21)
+    compress(img, target_cr=40.0)
+    # the final encode tokenizes once more
+    assert len(scans) - 1 < len(probes)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_a_mispriced_header_is_a_codec_error(monkeypatch, offset):
+    header_size = codec.header_size
+    monkeypatch.setattr(
+        codec, "header_size", lambda levels, symbols: header_size(levels, symbols) + offset
+    )
+    img = synth_image("blobs", 64, 64, bit_depth=16, seed=1)
+    with pytest.raises(codec.CodecError, match="size accounting mismatch"):
+        compress(img, target_cr=10.0)
+
+
 def test_scale_grid_is_fine_enough_not_to_overshoot():
     # first grid point at or past the target should stay well below 1.25x
     for kind, seed in [("blobs", 1), ("mixed", 2), ("noise", 3)]:

@@ -2,9 +2,12 @@
 
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import medlink.metrics as metrics
 from medlink.codec import compress, decompress
 from medlink.image_io import GrayImage
 from medlink.metrics import (
@@ -139,6 +142,31 @@ def test_sweep_distortion_rises_with_ratio():
         assert b.achieved_cr > a.achieved_cr
     for p in achieved:
         assert p.achieved_cr >= p.target_cr
+
+
+def test_sweep_accepts_distortion_that_falls_as_the_ratio_rises():
+    # MSE is not monotone along the grid: here it falls from 0.5654 to
+    # 0.4907 between the two targets, while the steps only grow
+    img = synth_image("ramp", 64, 64, bit_depth=16, seed=1)
+    low, high = rate_distortion_sweep(img, [22, 22.5])
+    assert high.mse < low.mse
+    assert high.achieved_cr > low.achieved_cr >= 22
+
+
+def test_sweep_rejects_steps_that_fall_as_the_ratio_rises(monkeypatch):
+    def finer_at_the_higher_target(image, target_cr, levels):
+        stream = compress(image, target_cr=target_cr, levels=levels)
+        if target_cr == 20:
+            # one plane's step below the CR 10 point's, the others above
+            steps = compress(image, target_cr=10, levels=levels).steps
+            stream = dataclasses.replace(stream, steps=(steps[0] - 1, *stream.steps[1:]))
+        return stream
+
+    monkeypatch.setattr(metrics, "compress", finer_at_the_higher_target)
+    img = synth_image("blobs", 64, 64, bit_depth=16, seed=1)
+    assert len(rate_distortion_sweep(img, [5, 10])) == 2
+    with pytest.raises(MetricsError, match="quantizer steps fell"):
+        rate_distortion_sweep(img, [10, 20])
 
 
 def test_sweep_records_unreachable_points_instead_of_failing():

@@ -22,7 +22,9 @@ A compressed image is a self-describing byte stream (conventionally a
 
 Table entries are sorted by symbol, so serialization is deterministic; a
 container whose symbols do not strictly ascend, which includes a repeated
-symbol, is rejected at the first entry out of order.
+symbol, is rejected at the first entry out of order. The table is read
+and written in numpy; a table the numpy reader cannot take is read again
+one entry at a time, which finds the first bad entry and its offset.
 The flags byte is always 1 and a container with any other value is
 rejected.
 The advertised size of a stream counts header bytes plus payload bytes;
@@ -32,7 +34,7 @@ that total is what compression ratios are measured against.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +50,13 @@ _FLAGS = 1  # bit 0: dead-zone quantization, the only quantizer
 # lengths (<= MAX_SAMPLES), so the decoder's int32 stream holds them all
 _SYMBOL_LIMIT = 1 << 31
 # a zigzag value below 2**(7 * i) takes at most i varint bytes
-_VARINT_LIMITS = np.array([1 << 7 * i for i in range(1, 9)], dtype=np.int64)
+_VARINT_LIMITS = np.array([1 << 7 * i for i in range(1, 10)], dtype=np.uint64)
+# varint bytes of a zigzag symbol in the int32 range, and bytes of a table
+# entry at most
+_SYMBOL_VARINT_BYTES = 5
+_MAX_ENTRY_BYTES = _SYMBOL_VARINT_BYTES + 1
+# code table entries one numpy pass of the reader takes
+_TABLE_CHUNK = 1 << 14
 # magic, version, geometry, depth, levels, flags and step count; the
 # entry count; the payload bit length
 _FIXED_HEADER_BYTES = 18 + 4 + 8
@@ -62,19 +70,6 @@ class BitstreamError(ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-def _write_uvarint(buf: bytearray, value: int):
-    if value < 0:
-        raise ValueError("uvarint cannot encode negatives")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
 
 
 def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
@@ -93,10 +88,6 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
             raise BitstreamError("varint too long", pos)
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
-
-
 def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
@@ -113,20 +104,17 @@ class CompressedBitstream:
     code_lengths: dict[int, int]
     payload: bytes = b""
     payload_bit_length: int = 0
-    _header_cache: bytes | None = field(default=None, repr=False, compare=False)
 
     def header_bytes(self) -> bytes:
-        if self._header_cache is None:
-            self._header_cache = pack_header(
-                self.width,
-                self.height,
-                self.bit_depth,
-                self.levels,
-                self.steps,
-                self.code_lengths,
-                self.payload_bit_length,
-            )
-        return self._header_cache
+        return pack_header(
+            self.width,
+            self.height,
+            self.bit_depth,
+            self.levels,
+            self.steps,
+            self.code_lengths,
+            self.payload_bit_length,
+        )
 
     @property
     def bit_length(self) -> int:
@@ -192,26 +180,7 @@ class CompressedBitstream:
                 f"code table entry count {entry_count} exceeds the bytes left", pos
             )
         pos += 4
-        code_lengths: dict[int, int] = {}
-        previous = -_SYMBOL_LIMIT - 1
-        for _ in range(entry_count):
-            entry = pos
-            raw, pos = _read_uvarint(data, pos)
-            symbol = _unzigzag(raw)
-            if not -_SYMBOL_LIMIT <= symbol < _SYMBOL_LIMIT:
-                raise BitstreamError(f"code table symbol {symbol} outside int32", entry)
-            if symbol <= previous:
-                raise BitstreamError(
-                    f"code table symbol {symbol} does not follow {previous} in order", entry
-                )
-            previous = symbol
-            if pos >= len(data):
-                raise BitstreamError("truncated code table entry", len(data))
-            length = data[pos]
-            if not 1 <= length <= MAX_CODE_LENGTH:
-                raise BitstreamError(f"code length {length} out of range", pos)
-            pos += 1
-            code_lengths[symbol] = length
+        code_lengths, pos = _read_table(data, pos, entry_count)
         if len(data) < pos + 8:
             raise BitstreamError("truncated payload length", len(data))
         (payload_bits,) = struct.unpack_from("<Q", data, pos)
@@ -233,6 +202,115 @@ class CompressedBitstream:
         )
 
 
+def _read_table(data: bytes, pos: int, count: int) -> tuple[dict[int, int], int]:
+    """The ``count`` code table entries from ``pos`` on and the position
+    after them, read ``_TABLE_CHUNK`` entries at a time by ``_read_chunk``.
+    A chunk it cannot read is read by ``_read_entries``, which gives its
+    entries or the error with its offset; so a hostile entry count costs
+    no more than one chunk beyond the entries actually present."""
+    if not count:
+        return {}, pos
+    view = np.frombuffer(data, dtype=np.uint8)
+    symbols, widths = [], []
+    previous = -_SYMBOL_LIMIT - 1
+    for done in range(0, count, _TABLE_CHUNK):
+        n = min(count - done, _TABLE_CHUNK)
+        chunk = _read_chunk(view, pos, n, previous)
+        if chunk is None:
+            entries, pos = _read_entries(data, pos, n, previous)
+            chunk = (
+                np.fromiter(entries, np.int64, n),
+                np.fromiter(entries.values(), np.uint8, n),
+                pos,
+            )
+        symbol, width, pos = chunk
+        previous = int(symbol[-1])
+        symbols.append(symbol)
+        widths.append(width)
+    table = dict(zip(np.concatenate(symbols).tolist(), np.concatenate(widths).tolist()))
+    return table, pos
+
+
+def _read_chunk(view: np.ndarray, pos: int, n: int, previous: int):
+    """The symbols (int64) and lengths (uint8) of the ``n`` valid entries
+    from ``pos`` on whose symbols ascend from above ``previous``, and the
+    position after them; None where the bytes are not such entries, or
+    hold a symbol varint longer than ``_SYMBOL_VARINT_BYTES``.
+
+    Every varint byte but the last has its high bit set and a valid length
+    byte does not, so the bytes with a clear high bit come in pairs: the
+    end of a symbol's varint, then its length byte. A length byte with its
+    high bit set is out of range, so the length check finds a pair broken
+    that way."""
+    chunk = view[pos : pos + _MAX_ENTRY_BYTES * n]
+    clear = np.flatnonzero(chunk < 0x80)
+    if clear.size < 2 * n:
+        return None
+    ends = clear[: 2 * n : 2]
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 2
+    # the varint bytes before each one's last
+    more = ends - starts
+    if more.max() >= _SYMBOL_VARINT_BYTES:
+        return None
+    raw = chunk[ends].astype(np.int64) << np.int64(7) * more
+    for i in range(int(more.max())):
+        longer = np.flatnonzero(more > i)
+        byte = chunk[starts[longer] + i].astype(np.int64) & np.int64(0x7F)
+        raw[longer] |= byte << np.int64(7 * i)
+    symbols = (raw >> np.int64(1)) ^ -(raw & np.int64(1))
+    widths = chunk[ends + 1]
+    if (
+        symbols[0] <= previous
+        or np.any(symbols[1:] <= symbols[:-1])
+        or symbols[-1] >= _SYMBOL_LIMIT
+        or not np.all((widths >= 1) & (widths <= MAX_CODE_LENGTH))
+    ):
+        return None
+    return symbols, widths, pos + int(ends[-1]) + 2
+
+
+def _read_entries(
+    data: bytes, pos: int, count: int, previous: int = -_SYMBOL_LIMIT - 1
+) -> tuple[dict[int, int], int]:
+    """The ``count`` entries from ``pos`` on, whose symbols must ascend from
+    above ``previous``, read one at a time: the reference reader, and the
+    one that finds the first bad entry and its offset."""
+    code_lengths: dict[int, int] = {}
+    for _ in range(count):
+        entry = pos
+        raw, pos = _read_uvarint(data, pos)
+        symbol = _unzigzag(raw)
+        if not -_SYMBOL_LIMIT <= symbol < _SYMBOL_LIMIT:
+            raise BitstreamError(f"code table symbol {symbol} outside int32", entry)
+        if symbol <= previous:
+            raise BitstreamError(
+                f"code table symbol {symbol} does not follow {previous} in order", entry
+            )
+        previous = symbol
+        if pos >= len(data):
+            raise BitstreamError("truncated code table entry", len(data))
+        length = data[pos]
+        if not 1 <= length <= MAX_CODE_LENGTH:
+            raise BitstreamError(f"code length {length} out of range", pos)
+        pos += 1
+        code_lengths[symbol] = length
+    return code_lengths, pos
+
+
+def _varint_bytes(zigzag: np.ndarray) -> np.ndarray:
+    """Varint byte count of each uint64 value: one, and one more per
+    multiple of 7 bits the value reaches."""
+    return np.searchsorted(_VARINT_LIMITS, zigzag, side="right") + 1
+
+
+def _zigzag(symbols: np.ndarray) -> np.ndarray:
+    """Zigzag (uint64) of int64 symbols: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ..."""
+    unsigned = symbols.view(np.uint64)
+    return (unsigned << np.uint64(1)) ^ (symbols >> np.int64(63)).view(np.uint64)
+
+
 def pack_header(
     width: int,
     height: int,
@@ -243,9 +321,31 @@ def pack_header(
     payload_bit_length: int,
 ) -> bytes:
     """Serialize the fixed header; ``header_size`` gives its length
-    without packing it."""
+    without packing it. The code table is written in numpy."""
     if len(steps) != 1 + 3 * levels:
         raise BitstreamError("step table does not match level count")
+    n = len(code_lengths)
+    symbols = np.fromiter(code_lengths, np.int64, n)
+    widths = np.fromiter(code_lengths.values(), np.int64, n)
+    if np.any(symbols[1:] <= symbols[:-1]):
+        order = np.argsort(symbols, kind="stable")
+        symbols, widths = symbols[order], widths[order]
+    bad = np.flatnonzero((widths < 1) | (widths > MAX_CODE_LENGTH))
+    if bad.size:
+        raise BitstreamError(f"code length {widths[bad[0]]} out of range")
+    zigzag = _zigzag(symbols)
+    size = _varint_bytes(zigzag)
+    # each entry is its varint, low 7 bits first, then its length byte
+    end = np.cumsum(size + 1)
+    table = np.empty(n + int(size.sum()), dtype=np.uint8)
+    table[end - 1] = widths
+    start = end - size - 1
+    for i in range(int(size.max(initial=0))):
+        byte = (zigzag >> np.uint64(7 * i)).astype(np.uint8)
+        byte &= np.uint8(0x7F)
+        byte |= (size > i + 1).view(np.uint8) << np.uint8(7)
+        more = size > i
+        table[start[more] + i] = byte[more]
     buf = bytearray()
     buf += MAGIC
     buf.append(VERSION)
@@ -255,23 +355,16 @@ def pack_header(
     buf.append(_FLAGS)
     buf += struct.pack("<H", len(steps))
     buf += struct.pack(f"<{len(steps)}I", *steps)
-    buf += struct.pack("<I", len(code_lengths))
-    for sym in sorted(code_lengths):
-        _write_uvarint(buf, _zigzag(sym))
-        length = code_lengths[sym]
-        if not 1 <= length <= MAX_CODE_LENGTH:
-            raise BitstreamError(f"code length {length} out of range")
-        buf.append(length)
+    buf += struct.pack("<I", n)
+    buf += table.tobytes()
     buf += struct.pack("<Q", payload_bit_length)
     return bytes(buf)
 
 
 def header_size(levels: int, symbols: np.ndarray) -> int:
     """Byte length of ``pack_header``'s output for ``levels`` and a code
-    table over ``symbols`` (distinct, within +-2**62), without packing it."""
+    table over ``symbols`` (distinct, in the int64 range), without packing
+    it."""
     symbols = np.asarray(symbols, dtype=np.int64)
-    zigzag = (symbols << 1) ^ (symbols >> 63)
-    # one varint byte, one more per limit reached, and one length byte
-    varint_bytes = np.searchsorted(_VARINT_LIMITS, zigzag, side="right")
-    entry_bytes = 2 * symbols.size + int(varint_bytes.sum())
+    entry_bytes = symbols.size + int(_varint_bytes(_zigzag(symbols)).sum())
     return _FIXED_HEADER_BYTES + 4 * (1 + 3 * levels) + entry_bytes

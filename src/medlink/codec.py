@@ -241,7 +241,8 @@ class _ProbeSizer:
         return entropy_bits + 8 * header_size(config.levels, symbols)
 
 
-def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitstream:
+def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> tuple[CompressedBitstream, int]:
+    """The container of ``pyramid`` under ``config``, and its size in bits."""
     tokens = _tokenize(quantize(pyramid, config).coefficients)
     code = huffman_build(_frequencies(tokens))
     payload, payload_bits = huffman_encode(tokens, code)
@@ -254,7 +255,7 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitst
         code.lengths,
         payload_bits,
     )
-    return CompressedBitstream(
+    stream = CompressedBitstream(
         width=pyramid.width,
         height=pyramid.height,
         bit_depth=pyramid.bit_depth,
@@ -263,8 +264,8 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> CompressedBitst
         code_lengths=code.lengths,
         payload=payload,
         payload_bit_length=payload_bits,
-        _header_cache=header,
     )
+    return stream, 8 * (len(header) + len(payload))
 
 
 def _grid_config(k: int, levels: int) -> QuantizerConfig:
@@ -341,7 +342,7 @@ def compress(
     Raises RateControlError when even the coarsest grid point cannot
     reach the target.
     """
-    if target_cr < 1.0:
+    if not target_cr >= 1.0:
         raise CodecError(f"target compression ratio {target_cr:g} must be >= 1")
     if image.width * image.height > MAX_SAMPLES:
         raise CodecError(
@@ -349,10 +350,10 @@ def compress(
         )
     pyramid = dwt_forward(image, levels)
     if lossless:
-        return _encode(pyramid, _grid_config(0, levels))
+        return _encode(pyramid, _grid_config(0, levels))[0]
     config, total_bits, payload_bits = _rate_search(pyramid, image.total_bits, target_cr)
-    stream = _encode(pyramid, config)
-    if (stream.bit_length, stream.payload_bit_length) != (total_bits, payload_bits):
+    stream, bits = _encode(pyramid, config)
+    if (bits, stream.payload_bit_length) != (total_bits, payload_bits):
         raise CodecError("size accounting mismatch during encode")
     return stream
 

@@ -26,8 +26,11 @@ def _ramp(width: int, height: int, maxval: int) -> np.ndarray:
 
 
 def _blob_field(rng, width: int, height: int, maxval: int) -> np.ndarray:
-    """Sum of a dozen anisotropic gaussian bumps, amplitude-normalized."""
-    y, x = np.mgrid[0:height, 0:width].astype(np.float64)
+    """Sum of a dozen anisotropic gaussian bumps, amplitude-normalized.
+    Each bump's x and y terms are computed on a row and a column of
+    coordinates, and broadcast to the whole grid by their sum."""
+    x = np.arange(width, dtype=np.float64)
+    y = np.arange(height, dtype=np.float64)[:, None]
     acc = np.zeros((height, width))
     for _ in range(12):
         cx = rng.uniform(0, width)

@@ -1,21 +1,44 @@
+import dataclasses
 import struct
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from medlink import bitstream
 from medlink.bitstream import (
     MAGIC,
     BitstreamError,
     CompressedBitstream,
     _read_uvarint,
     _unzigzag,
-    _write_uvarint,
-    _zigzag,
     header_size,
     pack_header,
 )
+from medlink.codec import compress
 from medlink.huffman import MAX_CODE_LENGTH
 from medlink.image_io import MAX_SAMPLES
+from medlink.synth import synth_image
+
+
+def _write_uvarint(buf: bytearray, value: int):
+    """Reference varint writer: 7 bits a byte, low bits first, the high
+    bit set on every byte but the last."""
+    if value < 0:
+        raise ValueError("uvarint cannot encode negatives")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            buf.append(byte | 0x80)
+        else:
+            buf.append(byte)
+            return
+
+
+def _zigzag(value: int) -> int:
+    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
 
 
 def _sample_stream(payload=b"\xa5\x80", payload_bits=10):
@@ -288,3 +311,145 @@ def test_header_size_counts_a_whole_table(dtype):
     assert header_size(2, np.zeros(0, dtype=dtype)) == len(
         pack_header(4, 4, 8, 2, (1,) * 7, {}, 0)
     )
+
+
+def test_header_follows_fields_changed_after_construction():
+    img = synth_image("blobs", 64, 64, bit_depth=16, seed=1)
+    stream = compress(img, target_cr=10.0)
+    bumped = tuple(step + 1 for step in stream.steps)
+    replaced = dataclasses.replace(stream, steps=bumped)
+    assert CompressedBitstream.from_bytes(replaced.to_bytes()).steps == bumped
+    stream.steps = bumped
+    assert CompressedBitstream.from_bytes(stream.to_bytes()).steps == bumped
+    # one code table entry fewer: the header shrinks with it
+    before = stream.bit_length
+    smallest = min(stream.code_lengths)
+    stream.code_lengths = {s: n for s, n in stream.code_lengths.items() if s != smallest}
+    assert stream.bit_length == len(stream.to_bytes()) * 8 < before
+
+
+def _pack_header_by_entry(levels, steps, code_lengths, payload_bit_length, size=(8, 8)):
+    """Reference header writer: one Python step per table entry."""
+    buf = bytearray(MAGIC)
+    buf.append(1)
+    buf += struct.pack("<II", *size)
+    buf += bytes([16, levels, 1])
+    buf += struct.pack("<H", len(steps)) + struct.pack(f"<{len(steps)}I", *steps)
+    buf += struct.pack("<I", len(code_lengths))
+    for symbol in sorted(code_lengths):
+        _write_uvarint(buf, _zigzag(symbol))
+        buf.append(code_lengths[symbol])
+    return bytes(buf + struct.pack("<Q", payload_bit_length))
+
+
+def _lossless_container(kind="mixed", side=16) -> bytes:
+    return compress(synth_image(kind, side, side, bit_depth=16, seed=3), lossless=True).to_bytes()
+
+
+def test_pack_header_writes_like_the_per_entry_writer():
+    steps = (1,) * 10
+    tables = [
+        {},
+        dict.fromkeys(_VARINT_EDGE_SYMBOLS, 9),
+        # out of order, and the symbols of 5-byte varints at the int32 limits
+        {2**31 - 1: 3, -(2**31): 2, 0: 1, -1: 3},
+        {s: 1 + s % MAX_CODE_LENGTH for s in range(-300, 300, 7)},
+        CompressedBitstream.from_bytes(_lossless_container()).code_lengths,
+    ]
+    for lengths in tables:
+        expected = _pack_header_by_entry(3, steps, lengths, 12345)
+        assert pack_header(8, 8, 16, 3, steps, lengths, 12345) == expected
+        assert header_size(3, np.array(list(lengths), dtype=np.int64)) == len(expected)
+    values = np.array(_VARINT_EDGE_SYMBOLS + [2**40, -(2**62), 2**63 - 1], dtype=np.int64)
+    assert bitstream._zigzag(values).tolist() == [_zigzag(v) for v in values.tolist()]
+
+
+def _parsed(data: bytes):
+    """The stream ``data`` parses to, as its fields and its table's order,
+    or the error's type, message and offset."""
+    try:
+        stream = CompressedBitstream.from_bytes(data)
+    except BitstreamError as exc:
+        return type(exc), str(exc), exc.offset
+    return stream, list(stream.code_lengths.items())
+
+
+def _assert_reads_like_entry_loop(monkeypatch, cases):
+    with monkeypatch.context() as patch:
+        patch.setattr(bitstream, "_read_table", bitstream._read_entries)
+        expected = [_parsed(data) for data in cases]
+    assert [_parsed(data) for data in cases] == expected
+    return expected
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_table_reader_matches_the_entry_loop(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(bitstream, "_TABLE_CHUNK", chunk)
+    data = _lossless_container()
+    count_at = 18 + 4 * 10
+    count = struct.unpack_from("<I", data, count_at)[0]
+    table_end = len(data) - len(CompressedBitstream.from_bytes(data).payload) - 8
+    table = range(count_at + 4, table_end)
+    # symbols of one, two and three varint bytes
+    symbols = np.array(list(CompressedBitstream.from_bytes(data).code_lengths))
+    assert set(bitstream._varint_bytes(bitstream._zigzag(symbols)).tolist()) == {1, 2, 3}
+    assert count > 3 * 64
+    rng = np.random.default_rng(71)
+    cases = [data[:cut] for cut in range(count_at, len(data))]
+    for _ in range(300):
+        mutated = bytearray(data)
+        for at in rng.choice(table, size=int(rng.integers(1, 4)), replace=False).tolist():
+            mutated[at] = int(rng.integers(256))
+        cases.append(bytes(mutated))
+    outcomes = _assert_reads_like_entry_loop(monkeypatch, cases)
+    phrases = ("out of range", "in order", "truncated varint", "truncated code table entry")
+    reached = {p for o in outcomes if isinstance(o[0], type) for p in phrases if p in o[1]}
+    # clean reads as well as each kind of entry error
+    assert reached == set(phrases)
+    assert sum(not isinstance(o[0], type) for o in outcomes) >= 5
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_table_reader_checks_the_order_across_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(bitstream, "_TABLE_CHUNK", chunk)
+    entries = sorted(_sample_stream().code_lengths.items())
+    cases = [_with_entries(entries)]
+    # each entry repeated right after itself, and one step out of order
+    for i in range(len(entries)):
+        cases.append(_with_entries(entries[: i + 1] + entries[i:]))
+        cases.append(_with_entries(entries[:i] + entries[i + 1 : i + 2] + entries[i : i + 1]))
+    outcomes = _assert_reads_like_entry_loop(monkeypatch, cases)
+    assert sum("in order" in str(o[1]) for o in outcomes) == 2 * len(entries) - 1
+
+
+def test_table_reader_reads_non_minimal_varints_like_the_entry_loop(monkeypatch):
+    # 1 as two bytes, 0x81 0x00, and a 6-byte varint: valid to the loop
+    entries = [(-3, 3), (0, 1), (2, 2), (700, 3)]
+    data = bytearray(_with_entries(entries))
+    at = 50 + 2  # past -3's one-byte varint and its length byte: symbol 0
+    padded = data[:at] + b"\x80\x80\x80\x80\x80\x00" + data[at + 1 :]
+    stream, _ = _assert_reads_like_entry_loop(monkeypatch, [bytes(padded)])[0]
+    assert stream.code_lengths == dict(entries)
+
+
+def test_hostile_entry_count_reads_in_bounded_memory():
+    # 250k valid 4-byte entries, then an entry count that claims twice as
+    # many: every remaining byte's worth at 2 bytes an entry
+    symbols = np.arange(8192, 8192 + 250_000, dtype=np.int64)
+    header = pack_header(2000, 2000, 16, 3, (1,) * 10, dict.fromkeys(symbols.tolist(), 20), 0)
+    data = bytearray(header[:-8])
+    count_at = 18 + 4 * 10
+    struct.pack_into("<I", data, count_at, (len(data) - count_at - 4) // 2)
+    data = bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitstreamError, match="truncated varint") as err:
+            CompressedBitstream.from_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.offset == len(data)
+    # 3.4 bytes a byte measured: the entries read, and one chunk read by
+    # the entry loop, which takes 21 bytes a byte to read them all
+    assert peak < 5 * len(data)

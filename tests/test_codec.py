@@ -303,6 +303,14 @@ def test_invalid_target_rejected():
         compress(img, target_cr=0.5)
 
 
+def test_nan_target_rejected():
+    # NaN compares false with everything: it once passed the check and
+    # bisected to the coarsest grid point
+    img = synth_image("blobs", 64, 64, bit_depth=16, seed=1)
+    with pytest.raises(codec.CodecError, match="ratio nan must be >= 1"):
+        compress(img, target_cr=float("nan"))
+
+
 def test_rate_search_returns_a_passing_point_whose_predecessor_fails():
     # a ramp's container size does not fall monotonically along the grid:
     # bisection lands on k = 164 while 159, 161 and 162 pass as well

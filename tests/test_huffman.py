@@ -727,3 +727,153 @@ def test_code_lengths_equal_the_heap_builders_lengths():
         lengths = code_lengths([freqs[s] for s in symbols])
         assert lengths.tolist() == [expected[s] for s in symbols]
         assert huffman_build(freqs).lengths == expected
+
+
+def _code_lengths_by_loop(counts):
+    """Reference two-queue merge: bounds-checked fronts, weights summed in
+    place, and depths filled root first one node at a time."""
+    counts = np.asarray(counts)
+    n = counts.size
+    if n == 1:
+        return [1]
+    order = np.argsort(counts, kind="stable")
+    leaves = counts[order].tolist()
+    weights = [0] * (n - 1)
+    parents = [0] * (2 * n - 2)
+    leaf = merged = 0
+    for m in range(n - 1):
+        for _ in range(2):
+            if leaf < n and (merged == m or leaves[leaf] <= weights[merged]):
+                weights[m] += leaves[leaf]
+                parents[leaf] = m
+                leaf += 1
+            else:
+                weights[m] += weights[merged]
+                parents[n + merged] = m
+                merged += 1
+    depths = [0] * (n - 1)
+    for m in range(n - 3, -1, -1):
+        depths[m] = depths[parents[n + m]] + 1
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = np.array(depths)[parents[:n]] + 1
+    return lengths.tolist()
+
+
+def test_code_lengths_equal_the_loop_tie_for_tie():
+    rng = np.random.default_rng(67)
+    cases = [[5], [1, 1], [3, 1, 1], [2**40, 1, 1]]
+    cases += [list(_fibonacci_frequencies(n).values()) for n in (57, 58, 59)]
+    for _ in range(60):
+        size = int(rng.integers(2, 2000))
+        # few distinct counts: ties between leaves, merged nodes and both
+        cases.append(rng.integers(1, int(rng.integers(2, 9)), size=size).tolist())
+        cases.append(np.repeat(rng.integers(1, 50, size=8), size // 8 + 1).tolist())
+    for counts in cases:
+        lengths = code_lengths(counts)
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == _code_lengths_by_loop(counts)
+    assert int(code_lengths(cases[5]).max()) == 57
+    assert int(code_lengths(cases[6]).max()) == 58
+
+
+def _code_tables_by_loop(lengths):
+    """Reference ``HuffmanCode`` tables, built with sorts over the dict's
+    items: (lengths, longest, limits, offset, (length, symbol) order,
+    counts per length, gcd), or the HuffmanError message."""
+    try:
+        if not lengths:
+            raise HuffmanError("empty code table")
+        for sym, length in lengths.items():
+            if not 1 <= length <= MAX_CODE_LENGTH:
+                raise HuffmanError(f"code length {length} for symbol {sym}")
+        table = dict(sorted(lengths.items()))
+        longest = max(lengths.values())
+        counts = np.bincount(list(lengths.values()), minlength=longest + 1).tolist()
+        limits, first, base = [], [0], [0]
+        next_code = 0
+        for length in range(1, longest + 1):
+            first.append(next_code)
+            base.append(base[-1] + counts[length - 1])
+            next_code += counts[length]
+            if next_code > 1 << length:
+                raise HuffmanError("code lengths violate the Kraft inequality")
+            limits.append(next_code << (longest - length))
+            next_code <<= 1
+    except HuffmanError as exc:
+        return str(exc)
+    ordered = [s for s, _ in sorted(table.items(), key=lambda item: item[1])]
+    offset = (np.array(base, dtype=np.uint64) - np.array(first, dtype=np.uint64)).tolist()
+    gcd = math.gcd(*np.flatnonzero(counts).tolist())
+    return list(table.items()), longest, limits, offset, ordered, counts, gcd
+
+
+def _code_tables(lengths):
+    try:
+        code = HuffmanCode(lengths)
+    except HuffmanError as exc:
+        return str(exc)
+    return (
+        list(code.lengths.items()),
+        code.max_length,
+        code._limits.tolist(),
+        code._offset.tolist(),
+        code._ordered.tolist(),
+        code._counts,
+        code._gcd,
+    )
+
+
+def test_code_tables_equal_the_loop_built_tables():
+    rng = np.random.default_rng(71)
+    tables = [{}, {3: 0}, {1: 1, 2: 1, 3: 1}, {0: MAX_CODE_LENGTH + 1, 1: 1}]
+    # two bad lengths: the first in the table's order is named
+    tables.append({5: 2, 3: 0, 1: MAX_CODE_LENGTH + 1})
+    tables += [_fibonacci_frequencies(58), dict.fromkeys(range(-4, 4), 3)]
+    tables[-2] = huffman_build(tables[-2]).lengths
+    for _ in range(40):
+        size = int(rng.integers(1, 3000))
+        symbols = rng.choice(np.arange(-5 * size, 5 * size), size=size, replace=False)
+        weights = rng.zipf(1.5, size=size).clip(max=10**6)
+        lengths = huffman_build(dict(zip(symbols.tolist(), weights.tolist()))).lengths
+        # the same table in the random order of its symbols, one entry
+        # dropped (incomplete), and one made too long or too short
+        shuffled = dict(zip(symbols.tolist(), [lengths[s] for s in symbols.tolist()]))
+        tables.append(shuffled)
+        tables.append(dict(list(shuffled.items())[1:]) or shuffled)
+        bad = dict(shuffled)
+        bad[symbols[size // 2].item()] = int(rng.choice([0, MAX_CODE_LENGTH + 1, -3]))
+        tables.append(bad)
+    outcomes = [_code_tables(t) for t in tables]
+    assert outcomes == [_code_tables_by_loop(t) for t in tables]
+    assert {o for o in outcomes if isinstance(o, str)} >= {
+        "empty code table",
+        "code lengths violate the Kraft inequality",
+        "code length 0 for symbol 3",
+    }
+
+
+# the suites above run at the widths the rule picks for their codes, 12
+# bits and less; here at the wide table's, and at 1 and 7 bits, which
+# leave most lengths to the limits. The width sets only the lengths,
+# which the walk and the lanes read alike.
+@pytest.mark.parametrize("bits", [1, 7, huffman._WIDE_TABLE_BITS])
+def test_decoder_matches_reference_at_every_table_width(monkeypatch, bits):
+    monkeypatch.setattr(huffman, "_table_bits", lambda code: min(code.max_length, bits))
+    _check_random_codes()
+    _check_truncations_and_bit_flips()
+    _check_chunk_boundaries()
+
+
+def test_table_width_rule_widens_only_for_long_codes():
+    def width(kind, w, h, **options):
+        img = synth_image(kind, w, h, bit_depth=16, seed=1)
+        return huffman._table_bits(HuffmanCode(compress(img, **options).code_lengths))
+
+    # lossy codes of the benchmark's inputs keep the 12-bit table
+    assert width("blobs", 256, 256, target_cr=5.0) == 12
+    assert width("mixed", 2000, 2000, target_cr=20.0) == 12
+    # 27% of the lossless code's space lies beyond 12 bits; its longest
+    # codeword has 16
+    assert width("mixed", 255, 257, lossless=True) == 16
+    # codes no longer than 12 bits get a table of their longest length
+    assert huffman._table_bits(huffman_build({0: 5, 1: 2, 2: 1})) == 2

@@ -20,16 +20,27 @@ by SIFS.
 
 All durations are computed in integer nanoseconds internally, so totals
 are bit-for-bit reproducible across runs and platforms; results surface
-as microsecond floats. Each run of equal packets is timed once, and the
-total is the left-to-right float sum of the per-packet times, not
-``sum()``, which compensates its rounding from Python 3.12 on.
+as microsecond floats. Each exchange is timed once per parameter set and
+MSDU size, and each run of equal packets once per transfer.
+
+The total is the left-to-right float sum of the per-packet times (the
+recursive summation of Higham, SIAM J. Sci. Comput. 14(4), 1993), not
+``sum()``, which compensates its rounding from Python 3.12 on, and not a
+closed form, which rounds once. It is computed bit for bit without
+visiting every packet: while a running total stays in one binade
+[2**e, 2**(e+1)), round-to-nearest-even adds the same step for every
+further addition of the same packet time (only the first addition on
+the binade's grid can differ, at a tie), so ``_add_repeatedly`` crosses
+each binade with one multiply. A run of n packets costs O(log n), and a
+transfer O(runs), not O(packets): results keep their runs and build the
+per-packet times only when read.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 
 from .transport import ACK_MSDU, PACKET_OVERHEAD, FragmentationPlan
@@ -104,6 +115,13 @@ class MacParameters:
         if self.mean_backoff_slots < 0:
             raise ValueError("mean backoff cannot be negative")
 
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Durations already computed for this parameter set by the
+        ``_per_parameter_set`` functions: one entry per function and MSDU
+        size, and no MSDU exceeds the largest TFTP block plus overhead."""
+        return {}
+
 
 PROFILE_11B = MacParameters(
     phy_rate=11e6,
@@ -167,14 +185,29 @@ def _ns(us: float) -> int:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Timing of one image transfer under one access scenario."""
+    """Timing of one image transfer under one access scenario.
+
+    ``runs`` holds the per-packet times in packet order as (microseconds,
+    packet count) runs, with adjacent equal times merged, so results with
+    the same per-packet times compare equal. ``per_packet_times`` is built
+    from them on each read.
+    """
 
     scenario: str
-    packet_count: int
-    per_packet_times: tuple[float, ...]  # microseconds
+    runs: tuple[tuple[float, int], ...]
     total_time: float  # microseconds, per_packet_times added left to right
     payload_bits: int
     effective_throughput: float  # payload bits per second of airtime
+
+    @property
+    def packet_count(self) -> int:
+        return sum(count for _, count in self.runs)
+
+    @property
+    def per_packet_times(self) -> tuple[float, ...]:  # microseconds
+        return tuple(itertools.chain.from_iterable(
+            itertools.repeat(us, count) for us, count in self.runs
+        ))
 
     @property
     def total_ms(self) -> float:
@@ -193,32 +226,95 @@ class ScenarioResult:
         return self.fps_capacity >= images_per_second
 
 
+# a plain loop is cheaper for runs this short, and below totals of this
+# many packet times, where a binade holds too few additions to skip
+_SHORT_RUN = 32
+_ULPS_PER_HALF = 2.0**52  # a normal binade [h, 2h) is 2**52 ulps wide
+
+
+def _add_repeatedly(total: float, x: float, count: int) -> float:
+    """``total`` plus ``count`` additions of ``x``, each rounded as the
+    loop ``for _ in range(count): total += x`` rounds it, for ``total >= 0``
+    and ``x > 0``, in O(log count) steps.
+
+    Inside one binade every sum lies on one grid of ulps, so after the
+    first addition on that grid each further one adds the same step; only
+    the first can differ, when ``x`` is a tie and ``total`` is odd. The
+    additions that stay below the binade's top are taken at once.
+    """
+    while count >= _SHORT_RUN:
+        if total < _SHORT_RUN * x:  # a binade this low holds few additions
+            for _ in range(_SHORT_RUN):
+                total += x
+            count -= _SHORT_RUN
+            continue
+        before, total = total, total + x
+        count -= 1
+        if total == math.inf:
+            return total
+        ulp = math.ulp(total)
+        half = ulp * _ULPS_PER_HALF  # the bottom of total's binade, if normal
+        if before < half and (x / ulp) % 1 == 0.5:
+            continue  # a tie, and the crossing into this binade may have left total odd
+        step = (total + x) - total
+        if not step:
+            return total
+        room = half - (total - half)  # exactly the distance to the binade's top
+        if step < room:
+            skip = min(count, (int(room / ulp) - 1) // int(step / ulp))
+            total += skip * step
+            count -= skip
+    for _ in range(count):
+        total += x
+    return total
+
+
 def _finish(
-    scenario: str, runs: list[tuple[int, int]], plan: FragmentationPlan
+    scenario: str, runs_ns: list[tuple[int, int]], plan: FragmentationPlan
 ) -> ScenarioResult:
     """Result of packet times given as (ns, packet count) runs, in order."""
     try:
-        us = {ns: ns / 1000.0 for ns, _ in runs}
+        times = [ns / 1000.0 for ns, _ in runs_ns]
     except OverflowError:
-        raise _out_of_range(max(ns for ns, _ in runs) // 1000) from None
-    per_packet: tuple[float, ...] = ()
-    for ns, count in runs:
-        per_packet += (us[ns],) * count
-    # an in-order fold: sum() of floats rounds differently from Python 3.12
-    total = functools.reduce(operator.add, per_packet)
+        raise _out_of_range(max(ns for ns, _ in runs_ns) // 1000) from None
+    runs: list[tuple[float, int]] = []
+    total = 0.0
+    for us, (_, count) in zip(times, runs_ns):
+        if runs and runs[-1][0] == us:
+            runs[-1] = (us, runs[-1][1] + count)
+        elif count:
+            runs.append((us, count))
+        # the in-order fold: sum() of floats rounds differently from Python 3.12
+        total = _add_repeatedly(total, us, count)
     if not math.isfinite(total):  # packet times that fit can sum past a float
         raise _out_of_range(total)
     payload_bits = 8 * plan.total_payload_bytes
     return ScenarioResult(
         scenario=scenario,
-        packet_count=len(per_packet),
-        per_packet_times=per_packet,
+        runs=tuple(runs),
         total_time=total,
         payload_bits=payload_bits,
         effective_throughput=payload_bits * 1e6 / total,
     )
 
 
+def _per_parameter_set(fn):
+    """``fn(params, *args)``, computed once per parameter set and args."""
+    name = fn.__name__  # a key that pickles with the parameter set
+
+    @functools.wraps(fn)
+    def memoized(params: MacParameters, *args):
+        key = (name, *args)
+        memo = params._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(params, *args)
+            return value
+    return memoized
+
+
+@_per_parameter_set
 def _dcf_exchange_ns(params: MacParameters, msdu: int) -> int:
     """One contended data delivery: DIFS, backoff, then every copy."""
     data = _ns(frame_airtime(params, msdu, params.phy_rate))
@@ -230,6 +326,7 @@ def _dcf_exchange_ns(params: MacParameters, msdu: int) -> int:
     return difs + backoff + r * (data + sifs + ack) + (r - 1) * sifs
 
 
+@_per_parameter_set
 def _pcf_exchange_ns(params: MacParameters, msdu: int) -> int:
     """One polled delivery: every copy is data+poll, SIFS, ACK, SIFS."""
     data = _ns(frame_airtime(params, msdu + params.cf_poll_extra_bytes, params.phy_rate))
@@ -238,6 +335,7 @@ def _pcf_exchange_ns(params: MacParameters, msdu: int) -> int:
     return params.retx_factor * (data + sifs + ack + sifs)
 
 
+@_per_parameter_set
 def _rts_cts_ns(params: MacParameters) -> int:
     """The RTS/CTS reservation that opens a DCF image burst."""
     return (
@@ -248,11 +346,17 @@ def _rts_cts_ns(params: MacParameters) -> int:
     )
 
 
+@_per_parameter_set
+def _pifs_ns(params: MacParameters) -> int:
+    """The PIFS a point coordinator waits to open the contention-free period."""
+    return _ns(params.pifs)
+
+
 # scenario -> (per-delivery exchange, one-off surcharge on the first packet)
 _SCENARIO_TIMING = {
     "dcf": (_dcf_exchange_ns, lambda params: 0),
     "dcf-rts": (_dcf_exchange_ns, _rts_cts_ns),
-    "pcf": (_pcf_exchange_ns, lambda params: _ns(params.pifs)),
+    "pcf": (_pcf_exchange_ns, _pifs_ns),
 }
 SCENARIOS = tuple(_SCENARIO_TIMING)
 

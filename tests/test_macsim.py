@@ -6,16 +6,25 @@ scenario ordering is exercised across randomized parameter sets.
 """
 
 import functools
+import gc
+import itertools
 import math
 import operator
+import pickle
+import sys
+import time
 import tracemalloc
+import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from medlink import macsim
 from medlink.macsim import (
     _SCENARIO_TIMING,
+    _SHORT_RUN,
     MEAN_BACKOFF_HALF_CWMIN_11B,
     PROFILE_11B,
     PROFILE_11G,
@@ -23,6 +32,7 @@ from medlink.macsim import (
     SCENARIOS,
     MacParameters,
     ScenarioResult,
+    _add_repeatedly,
     budget_superframe,
     control_airtime,
     frame_airtime,
@@ -93,9 +103,9 @@ def per_packet_simulate(scenario, plan, params) -> ScenarioResult:
     if not math.isfinite(total):
         raise ValueError(f"a MAC duration of {total} us is out of range")
     payload_bits = 8 * plan.total_payload_bytes
+    runs = tuple((us, len(list(group))) for us, group in itertools.groupby(per_packet))
     return ScenarioResult(
-        scenario, len(packet_ns), per_packet, total, payload_bits,
-        payload_bits * 1e6 / total,
+        scenario, runs, total, payload_bits, payload_bits * 1e6 / total
     )
 
 
@@ -281,6 +291,7 @@ def test_run_wise_timing_matches_the_per_packet_loop():
             assert got.packet_count == want.packet_count == plan.data_packet_count
             assert got.payload_bits == want.payload_bits
             assert got.effective_throughput == want.effective_throughput
+            assert got == want
 
 
 @pytest.mark.parametrize(
@@ -305,9 +316,132 @@ def test_out_of_range_errors_match_the_per_packet_loop(size, params, ack):
         assert str(got.value) == str(want.value)
 
 
+def test_results_with_the_same_packet_times_compare_equal():
+    """Runs are merged, so dcf's first packet, which carries no surcharge,
+    joins the full packets, as in the reference's grouped tuple."""
+    plan = fragment(5 * 512 + 7, 512, tftp_ack=True)
+    got = simulate("dcf", plan, PROFILE_11B)
+    full, last = got.per_packet_times[0], got.per_packet_times[-1]
+    assert got.runs == ((full, 5), (last, 1))
+    assert got == per_packet_simulate("dcf", plan, PROFILE_11B)
+    # one packet, whose zero-count run of equal followers is dropped
+    alone = simulate("pcf", fragment(100, 512), PROFILE_11B)
+    assert len(alone.runs) == 1 and alone.packet_count == 1
+    assert alone == per_packet_simulate("pcf", fragment(100, 512), PROFILE_11B)
+
+
+def per_addition(total, x, count):
+    for _ in range(count):
+        total += x
+    return total
+
+
+def test_repeated_addition_matches_the_per_addition_loop():
+    """The binade-skipping fold against one rounded addition at a time, on
+    seeded start totals and packet times from 1e-3 to 1e300, ties, steps
+    below half an ulp, short and long runs, and totals that reach the top
+    binade or overflow."""
+    rng = np.random.default_rng(1993)
+    lengths = [0, 1, _SHORT_RUN - 1, _SHORT_RUN, _SHORT_RUN + 1, 3 * _SHORT_RUN, 1000, 20_000]
+
+    def length():
+        return int(rng.choice(lengths))
+
+    def magnitude(low=-3, high=300):
+        return float(10 ** rng.uniform(low, high))
+
+    cases = []
+    for _ in range(150):
+        cases.append((0.0, magnitude(), length()))
+        cases.append((magnitude(), magnitude(), length()))
+        cases.append((0.0, float(rng.uniform(0.5, 1.0)), length()))
+        # a tie, (m + 1/2) ulps of a random binade, added from just below
+        # that binade and from inside it
+        ulp = math.ldexp(1.0, int(rng.integers(-60, 960)))
+        tie = (int(rng.integers(64)) + 0.5) * ulp
+        cases.append((2**52 * ulp - int(rng.integers(1, 400)) * ulp / 2, tie, length()))
+        cases.append((int(rng.integers(2**52, 2**53)) * ulp, tie, length()))
+        # steps below half an ulp of the running total
+        total = magnitude()
+        cases.append((total, math.ulp(total) * float(rng.uniform(0.01, 0.5)), length()))
+        # into the top binade [2**1023, 2**1024), and past it to inf
+        cases.append((float(rng.uniform(2.0**1022, sys.float_info.max)), magnitude(290, 308),
+                      length()))
+    cases += [(0.0, 1e-3, 10**6), (0.0, 5000.5, 10**6), (1e305, 1e303, 10**6)]
+    for total, x, count in cases:
+        assert repr(_add_repeatedly(total, x, count)) == repr(per_addition(total, x, count)), (
+            total, x, count)
+    assert per_addition(1e305, 1e303, 10**6) == math.inf
+
+
+@pytest.mark.parametrize("ack", [False, True])
+def test_a_timing_costs_its_runs_not_its_packets(ack):
+    """2**31 + 1 packets are timed in bounded time and memory."""
+    plan = fragment(2**40, 512, tftp_ack=ack)
+    for scenario in SCENARIOS:
+        start = time.perf_counter()
+        res = simulate(scenario, plan, PROFILE_11B)
+        assert time.perf_counter() - start < 0.05
+        tracemalloc.start()
+        try:
+            assert simulate(scenario, plan, PROFILE_11B) == res
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert res.packet_count == 2**31 + 1
+        # the in-order fold of n packets is within n ulps of the exact sum
+        exact = sum(Fraction(us) * count for us, count in res.runs)
+        assert res.total_time == pytest.approx(float(exact), rel=1e-6)
+        # a total that overflows stops at inf, not after 2**31 additions
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="duration of inf us is out of range"):
+            simulate(scenario, plan, replace(PROFILE_11B, retx_factor=10**298))
+        assert time.perf_counter() - start < 0.05
+
+
+def test_a_verdict_of_36_timings_stays_small():
+    """Every blocksize, ACK mode, profile and scenario of a 6 MB container
+    in a 64 KiB traced peak; as per-packet tuples they took ~1.9 MiB."""
+    tracemalloc.start()
+    try:
+        results = [
+            simulate(scenario, fragment(6_000_000, blocksize, tftp_ack=ack), params)
+            for blocksize in BLOCKSIZES
+            for ack in (False, True)
+            for params in PROFILES.values()
+            for scenario in SCENARIOS
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 36
+    assert peak < 64 * 1024
+
+
+def test_exchange_times_are_computed_once_per_parameter_set(monkeypatch):
+    calls = []
+    real = macsim.frame_airtime
+    monkeypatch.setattr(macsim, "frame_airtime", lambda *args: calls.append(args) or real(*args))
+    params = replace(PROFILE_11B, sifs=11.0)
+    plan = fragment(10 * 512 + 7, 512, tftp_ack=True)
+    first = [simulate(scenario, plan, params) for scenario in SCENARIOS]
+    # dcf and pcf each time a full block, the last block and the TFTP ACK
+    assert len(calls) == 6
+    assert [simulate(scenario, plan, params) for scenario in SCENARIOS] == first
+    assert len(calls) == 6
+    assert pickle.loads(pickle.dumps(params)) == params
+    # the durations live on the parameter set and go with it
+    gone = weakref.ref(params)
+    del params, calls[:]
+    gc.collect()
+    assert gone() is None
+
+
 def test_a_timed_transfer_keeps_one_pointer_per_packet():
-    """The plan stores no blocks, and a result shares one float per
-    distinct packet time across its per-packet tuple."""
+    """The plan stores no blocks, a result keeps no per-packet tuple, and
+    reading ``per_packet_times`` builds one, sharing one float per
+    distinct packet time."""
     tracemalloc.start()
     try:
         plan = fragment(6_000_000, 512, tftp_ack=True)
@@ -316,6 +450,8 @@ def test_a_timed_transfer_keeps_one_pointer_per_packet():
         before = tracemalloc.get_traced_memory()[0]
         res = simulate("dcf-rts", plan, PROFILE_11B)
         kept, peak = tracemalloc.get_traced_memory()
+        times = res.per_packet_times
+        read = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     packets = res.packet_count
@@ -323,6 +459,9 @@ def test_a_timed_transfer_keeps_one_pointer_per_packet():
     assert plan_bytes < 1024
     assert (kept - before) / packets <= 9
     assert (peak - before) / packets <= 32
+    assert peak - before < 8 * 1024
+    assert 8 * packets <= read - kept <= 9 * packets
+    assert len(times) == packets and times == res.per_packet_times
 
 
 def test_effective_throughput_below_phy_rate():

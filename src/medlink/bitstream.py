@@ -20,11 +20,13 @@ A compressed image is a self-describing byte stream (conventionally a
     ..      8     payload bit length, u64 LE
     ..      var   payload, ceil(bits / 8) bytes, zero padded
 
-Table entries are sorted by symbol, so serialization is deterministic; a
-container whose symbols do not strictly ascend, which includes a repeated
-symbol, is rejected at the first entry out of order. The table is read
-and written in numpy; a table the numpy reader cannot take is read again
-one entry at a time, which finds the first bad entry and its offset.
+Table entries are in strictly ascending symbol order, so serialization
+is deterministic; a container whose symbols do not strictly ascend, which
+includes a repeated symbol, is rejected at the first entry out of order,
+and so is such a table on write. In memory the table is two arrays, the
+symbols (int64) and their code lengths (uint8), read and written in
+numpy; a table the numpy reader cannot take is read again one entry at a
+time, which finds the first bad entry and its offset.
 The flags byte is always 1 and a container with any other value is
 rejected.
 The advertised size of a stream counts header bytes plus payload bytes;
@@ -92,16 +94,19 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class CompressedBitstream:
-    """In-memory form of a compressed image container."""
+    """In-memory form of a compressed image container. The code table is
+    ``symbols`` (int64, strictly ascending) and their ``code_lengths``
+    (uint8)."""
 
     width: int
     height: int
     bit_depth: int
     levels: int
     steps: tuple[int, ...]
-    code_lengths: dict[int, int]
+    symbols: np.ndarray
+    code_lengths: np.ndarray
     payload: bytes = b""
     payload_bit_length: int = 0
 
@@ -112,6 +117,7 @@ class CompressedBitstream:
             self.bit_depth,
             self.levels,
             self.steps,
+            self.symbols,
             self.code_lengths,
             self.payload_bit_length,
         )
@@ -119,7 +125,7 @@ class CompressedBitstream:
     @property
     def bit_length(self) -> int:
         """Total container size in bits (header plus padded payload)."""
-        return (len(self.header_bytes()) + len(self.payload)) * 8
+        return 8 * self.byte_length
 
     @property
     def byte_length(self) -> int:
@@ -180,7 +186,7 @@ class CompressedBitstream:
                 f"code table entry count {entry_count} exceeds the bytes left", pos
             )
         pos += 4
-        code_lengths, pos = _read_table(data, pos, entry_count)
+        symbols, code_lengths, pos = _read_table(data, pos, entry_count)
         if len(data) < pos + 8:
             raise BitstreamError("truncated payload length", len(data))
         (payload_bits,) = struct.unpack_from("<Q", data, pos)
@@ -196,39 +202,31 @@ class CompressedBitstream:
             bit_depth=bit_depth,
             levels=levels,
             steps=tuple(steps),
+            symbols=symbols,
             code_lengths=code_lengths,
             payload=data[pos : pos + payload_len],
             payload_bit_length=payload_bits,
         )
 
 
-def _read_table(data: bytes, pos: int, count: int) -> tuple[dict[int, int], int]:
-    """The ``count`` code table entries from ``pos`` on and the position
-    after them, read ``_TABLE_CHUNK`` entries at a time by ``_read_chunk``.
-    A chunk it cannot read is read by ``_read_entries``, which gives its
-    entries or the error with its offset; so a hostile entry count costs
-    no more than one chunk beyond the entries actually present."""
-    if not count:
-        return {}, pos
+def _read_table(data: bytes, pos: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The symbols (int64) and lengths (uint8) of the ``count`` code table
+    entries from ``pos`` on and the position after them, read
+    ``_TABLE_CHUNK`` entries at a time by ``_read_chunk``. A chunk it
+    cannot read is read by ``_read_entries``, which gives its entries or
+    the error with its offset; so a hostile entry count costs no more than
+    one chunk beyond the entries actually present."""
     view = np.frombuffer(data, dtype=np.uint8)
-    symbols, widths = [], []
+    symbols, widths = [np.empty(0, np.int64)], [np.empty(0, np.uint8)]
     previous = -_SYMBOL_LIMIT - 1
     for done in range(0, count, _TABLE_CHUNK):
         n = min(count - done, _TABLE_CHUNK)
         chunk = _read_chunk(view, pos, n, previous)
-        if chunk is None:
-            entries, pos = _read_entries(data, pos, n, previous)
-            chunk = (
-                np.fromiter(entries, np.int64, n),
-                np.fromiter(entries.values(), np.uint8, n),
-                pos,
-            )
-        symbol, width, pos = chunk
+        symbol, width, pos = chunk or _read_entries(data, pos, n, previous)
         previous = int(symbol[-1])
         symbols.append(symbol)
         widths.append(width)
-    table = dict(zip(np.concatenate(symbols).tolist(), np.concatenate(widths).tolist()))
-    return table, pos
+    return np.concatenate(symbols), np.concatenate(widths), pos
 
 
 def _read_chunk(view: np.ndarray, pos: int, n: int, previous: int):
@@ -273,11 +271,12 @@ def _read_chunk(view: np.ndarray, pos: int, n: int, previous: int):
 
 def _read_entries(
     data: bytes, pos: int, count: int, previous: int = -_SYMBOL_LIMIT - 1
-) -> tuple[dict[int, int], int]:
-    """The ``count`` entries from ``pos`` on, whose symbols must ascend from
-    above ``previous``, read one at a time: the reference reader, and the
-    one that finds the first bad entry and its offset."""
-    code_lengths: dict[int, int] = {}
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The symbols and lengths of the ``count`` entries from ``pos`` on,
+    whose symbols must ascend from above ``previous``, and the position
+    after them, read one at a time: the reference reader, and the one that
+    finds the first bad entry and its offset."""
+    symbols, lengths = [], []
     for _ in range(count):
         entry = pos
         raw, pos = _read_uvarint(data, pos)
@@ -295,8 +294,9 @@ def _read_entries(
         if not 1 <= length <= MAX_CODE_LENGTH:
             raise BitstreamError(f"code length {length} out of range", pos)
         pos += 1
-        code_lengths[symbol] = length
-    return code_lengths, pos
+        symbols.append(symbol)
+        lengths.append(length)
+    return np.array(symbols, dtype=np.int64), np.array(lengths, dtype=np.uint8), pos
 
 
 def _varint_bytes(zigzag: np.ndarray) -> np.ndarray:
@@ -317,19 +317,22 @@ def pack_header(
     bit_depth: int,
     levels: int,
     steps: tuple[int, ...],
-    code_lengths: dict[int, int],
+    symbols: np.ndarray,
+    lengths: np.ndarray,
     payload_bit_length: int,
 ) -> bytes:
     """Serialize the fixed header; ``header_size`` gives its length
-    without packing it. The code table is written in numpy."""
+    without packing it. The code table, ``symbols`` strictly ascending and
+    their ``lengths``, is written in numpy."""
     if len(steps) != 1 + 3 * levels:
         raise BitstreamError("step table does not match level count")
-    n = len(code_lengths)
-    symbols = np.fromiter(code_lengths, np.int64, n)
-    widths = np.fromiter(code_lengths.values(), np.int64, n)
+    symbols = np.asarray(symbols, dtype=np.int64)
+    widths = np.asarray(lengths)
+    n = symbols.size
+    if symbols.ndim != 1 or widths.shape != symbols.shape:
+        raise BitstreamError(f"{n} code table symbols, {widths.size} code lengths")
     if np.any(symbols[1:] <= symbols[:-1]):
-        order = np.argsort(symbols, kind="stable")
-        symbols, widths = symbols[order], widths[order]
+        raise BitstreamError("code table symbols do not strictly ascend")
     bad = np.flatnonzero((widths < 1) | (widths > MAX_CODE_LENGTH))
     if bad.size:
         raise BitstreamError(f"code length {widths[bad[0]]} out of range")

@@ -179,14 +179,15 @@ def cmd_compress(args: argparse.Namespace) -> int:
     )
     elapsed = time.perf_counter() - start
     recon = codec.decompress(stream)
-    report = metrics.quality_report(image, recon, stream.bit_length)
-    _write_file(args.out / f"{name}.wbc", stream.to_bytes())
+    container = stream.to_bytes()
+    report = metrics.quality_report(image, recon, 8 * len(container))
+    _write_file(args.out / f"{name}.wbc", container)
     _write_file(
         args.out / f"{name}_quality.csv",
         f"{metrics.QualityReport.CSV_HEADER}\n{report.csv_row()}\n",
     )
     print(
-        f"{name}: {stream.byte_length} bytes, CR {report.cr:.2f}, "
+        f"{name}: {len(container)} bytes, CR {report.cr:.2f}, "
         f"PSNR {report.psnr_db:.2f} dB, {elapsed:.2f} s"
     )
     return EXIT_OK

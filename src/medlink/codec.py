@@ -164,12 +164,6 @@ def _value_table(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarr
     return distinct, np.bincount(inverse, weights=weights).astype(np.int64)
 
 
-def _frequencies(symbols: np.ndarray) -> dict[int, int]:
-    """Symbol -> occurrence count of a nonempty array."""
-    values, counts = _value_table(symbols)
-    return dict(zip(values.tolist(), counts.tolist()))
-
-
 class _ProbeSizer:
     """Exact container size of a pyramid under any quantizer config,
     computed without quantizing the planes or building tokens.
@@ -205,7 +199,7 @@ class _ProbeSizer:
 
     def frequencies(self, config: QuantizerConfig, nonzero=None) -> tuple[np.ndarray, np.ndarray]:
         """Token symbols in ascending order with their counts, equal to
-        ``_frequencies`` of the tokenized, quantized stream. ``nonzero``
+        ``_value_table`` of the tokenized, quantized stream. ``nonzero``
         is ``self.nonzero(config)`` when the caller has it."""
         symbols, counts = self.nonzero(config) if nonzero is None else nonzero
         zero = np.empty(self.magnitudes.size, dtype=bool)
@@ -244,7 +238,7 @@ class _ProbeSizer:
 def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> tuple[CompressedBitstream, int]:
     """The container of ``pyramid`` under ``config``, and its size in bits."""
     tokens = _tokenize(quantize(pyramid, config).coefficients)
-    code = huffman_build(_frequencies(tokens))
+    code = huffman_build(*_value_table(tokens))
     payload, payload_bits = huffman_encode(tokens, code)
     header = pack_header(
         pyramid.width,
@@ -252,6 +246,7 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> tuple[Compresse
         pyramid.bit_depth,
         config.levels,
         config.steps,
+        code.symbols,
         code.lengths,
         payload_bits,
     )
@@ -261,6 +256,7 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> tuple[Compresse
         bit_depth=pyramid.bit_depth,
         levels=config.levels,
         steps=config.steps,
+        symbols=code.symbols,
         code_lengths=code.lengths,
         payload=payload,
         payload_bit_length=payload_bits,
@@ -366,7 +362,7 @@ def decompress(stream: CompressedBitstream) -> GrayImage:
     point.
     """
     try:
-        code = HuffmanCode(stream.code_lengths)
+        code = HuffmanCode(stream.symbols, stream.code_lengths)
         tokens = huffman_decode(stream.payload, stream.payload_bit_length, code)
     except HuffmanError as exc:
         raise DecodeError(f"payload does not decode: {exc}") from exc

@@ -5,15 +5,15 @@ Leeuwen, "On the construction of Huffman trees", ICALP 1976): rate-control
 probes price a code as ``lengths @ counts`` from it alone, and
 ``huffman_build`` turns its lengths into a code. Codewords are assigned
 canonically, in (length, symbol) order, so a code is fully described by
-its symbol-to-length table. That is what the bitstream container stores.
-A single-symbol alphabet gets a 1-bit code by convention, so every
-encoded stream has positive length.
+its code table: the symbols, strictly ascending, and their lengths, two
+arrays from the token counts to the bitstream container and back. A
+single-symbol alphabet gets a 1-bit code by convention, so every encoded
+stream has positive length.
 
 A ``HuffmanCode`` builds its per-length tables once (Moffat and Turpin,
 "On the implementation of minimum redundancy prefix codes", IEEE Trans.
 Commun. 45(10), 1997), with one exact Kraft check per length; the
-codewords and the decoder read them. It reads its symbol-to-length table
-into arrays and sorts those, so no Python step runs per symbol.
+encoder and the decoder read them. No Python step runs per symbol.
 
 The encoder makes no Python step per codeword. Its table, built from the
 per-length tables on first use, holds each symbol's codeword left-justified
@@ -129,26 +129,26 @@ class HuffmanDecodeError(HuffmanError):
 
 
 class HuffmanCode:
-    """A canonical prefix code, constructed from a symbol -> length table;
-    its per-length tables are built here, once. The encoder's table is
-    derived from them on first use, so a decoder never builds it."""
+    """A canonical prefix code, constructed from its code table: the
+    symbols, strictly ascending, and their code lengths. It keeps them as
+    ``symbols`` (int64) and ``lengths`` (uint8), and builds its per-length
+    tables here, once. The encoder's table is derived from them on first
+    use, so a decoder never builds it."""
 
-    def __init__(self, lengths: dict[int, int]):
-        if not lengths:
+    def __init__(self, symbols, lengths):
+        self.symbols = symbols = np.asarray(symbols, dtype=np.int64)
+        # uint8 is for storage: arithmetic runs on the int64 widths
+        widths = np.asarray(lengths, dtype=np.int64)
+        if not symbols.size:
             raise HuffmanError("empty code table")
-        n = len(lengths)
-        symbols = np.fromiter(lengths, np.int64, n)
-        widths = np.fromiter(lengths.values(), np.int64, n)
+        if symbols.ndim != 1 or widths.shape != symbols.shape:
+            raise HuffmanError(f"{symbols.size} symbols, {widths.size} code lengths")
+        if np.any(symbols[1:] <= symbols[:-1]):
+            raise HuffmanError("code table symbols do not strictly ascend")
         bad = np.flatnonzero((widths < 1) | (widths > MAX_CODE_LENGTH))
         if bad.size:
-            sym, length = list(lengths.items())[bad[0]]
-            raise HuffmanError(f"code length {length} for symbol {sym}")
-        if np.any(symbols[1:] <= symbols[:-1]):
-            order = np.argsort(symbols, kind="stable")
-            symbols, widths = symbols[order], widths[order]
-            self.lengths = dict(zip(symbols.tolist(), widths.tolist()))
-        else:
-            self.lengths = dict(lengths)
+            raise HuffmanError(f"code length {widths[bad[0]]} for symbol {symbols[bad[0]]}")
+        self.lengths = widths.astype(np.uint8)
         self.max_length = longest = int(widths.max())
         counts = np.bincount(widths, minlength=longest + 1).tolist()
         limits, first, base = [], [0], [0]
@@ -165,20 +165,11 @@ class HuffmanCode:
         # a codeword of each length plus this is its (length, symbol)
         # index, base - first, mod 2**64
         self._offset = np.array(base, dtype=np.uint64) - np.array(first, dtype=np.uint64)
-        # symbol order, and a stable sort of it by length: (length, symbol)
-        self._symbols = symbols
-        self._widths = widths
-        self._order = np.argsort(widths.astype(np.uint8), kind="stable")
+        # a stable sort of symbol order by length: (length, symbol)
+        self._order = np.argsort(self.lengths, kind="stable")
         self._ordered = symbols[self._order]
         self._counts = counts
         self._gcd = math.gcd(*np.flatnonzero(counts).tolist())
-
-    @cached_property
-    def codes(self) -> dict[int, int]:
-        """Canonical codeword of every symbol, in (length, symbol) order."""
-        widths = self._widths[self._order]
-        codes = np.arange(widths.size, dtype=np.uint64) - self._offset[widths]
-        return dict(zip(self._ordered.tolist(), codes.tolist()))
 
     @cached_property
     def _entries(self) -> tuple[int, np.ndarray, np.ndarray | None]:
@@ -187,8 +178,8 @@ class HuffmanCode:
         6 bits, 0 for no symbol. A narrow symbol span gets one entry per
         integer from the lowest symbol on, then a 0, and symbols None; a
         wide one gets an entry per symbol, in the order of ``symbols``."""
-        symbols, n = self._symbols, self._symbols.size
-        widths = self._widths.astype(np.uint64)
+        symbols, n = self.symbols, self.symbols.size
+        widths = self.lengths.astype(np.uint64)
         entries = np.empty(n, dtype=np.uint64)
         entries[self._order] = np.arange(n, dtype=np.uint64) - self._offset[widths[self._order]]
         entries <<= np.uint64(64) - widths
@@ -202,20 +193,13 @@ class HuffmanCode:
         return lo, dense, None
 
     def __len__(self) -> int:
-        return len(self.lengths)
-
-    def mean_length(self, frequencies: dict[int, int]) -> float:
-        """Frequency-weighted mean codeword length in bits."""
-        total = sum(frequencies.values())
-        if total == 0:
-            raise HuffmanError("no symbols")
-        weighted = sum(self.lengths[s] * f for s, f in frequencies.items() if f > 0)
-        return weighted / total
+        return self.symbols.size
 
 
 def code_lengths(counts) -> np.ndarray:
     """Huffman code lengths (int64) of positive ``counts`` given in
-    ascending symbol order; a single symbol gets length 1.
+    ascending symbol order; a single symbol gets length 1. A count that is
+    not positive raises HuffmanError.
 
     The leaves are sorted stably by count and the merged nodes queue in
     creation order, which is ascending weight; each merge takes the
@@ -228,6 +212,8 @@ def code_lengths(counts) -> np.ndarray:
     n = counts.size
     if n == 0:
         raise HuffmanError("empty alphabet")
+    if not counts.min() > 0:
+        raise HuffmanError("symbol counts must be positive")
     if n == 1:
         return np.ones(1, dtype=np.int64)
     order = np.argsort(counts, kind="stable")
@@ -265,23 +251,10 @@ def code_lengths(counts) -> np.ndarray:
     return lengths
 
 
-def huffman_build(frequencies: dict[int, int]) -> HuffmanCode:
-    """Build a canonical code from symbol frequencies.
-
-    Zero-frequency entries are dropped; an empty (or all-zero) table is an
-    error.
-    """
-    n = len(frequencies)
-    symbols = np.fromiter(frequencies, np.int64, n)
-    counts = np.fromiter(frequencies.values(), np.int64, n)
-    keep = counts > 0
-    if not keep.all():
-        symbols, counts = symbols[keep], counts[keep]
-    if np.any(symbols[1:] <= symbols[:-1]):
-        order = np.argsort(symbols, kind="stable")
-        symbols, counts = symbols[order], counts[order]
-    lengths = code_lengths(counts)
-    return HuffmanCode(dict(zip(symbols.tolist(), lengths.tolist())))
+def huffman_build(symbols, counts) -> HuffmanCode:
+    """Build a canonical code over ``symbols``, strictly ascending, from
+    their positive ``counts``."""
+    return HuffmanCode(symbols, code_lengths(counts))
 
 
 def huffman_encode(symbols, code: HuffmanCode) -> tuple[bytes, int]:
@@ -293,8 +266,9 @@ def huffman_encode(symbols, code: HuffmanCode) -> tuple[bytes, int]:
     values = np.asarray(symbols)
     if not np.can_cast(values.dtype, np.int64):
         # floats, objects and integers past int64 are looked up as keys
+        known = set(code.symbols.tolist())
         for s in symbols.tolist() if isinstance(symbols, np.ndarray) else symbols:
-            if s not in code.lengths:
+            if s not in known:
                 raise HuffmanError(f"symbol {s} not in code table")
         values = values.astype(np.int64)
     lo, table, keys = code._entries

@@ -55,9 +55,6 @@ __all__ = [
     "MEAN_BACKOFF_HALF_CWMIN_11B",
     "frame_airtime",
     "control_airtime",
-    "simulate_dcf",
-    "simulate_dcf_rts",
-    "simulate_pcf",
     "simulate",
     "budget_superframe",
     "load_mac_config",
@@ -380,20 +377,6 @@ def simulate(scenario: str, plan: FragmentationPlan, params: MacParameters) -> S
     first_ns, first_count = runs[0]
     runs[:1] = [(first_ns + surcharge_ns(params), 1), (first_ns, first_count - 1)]
     return _finish(scenario, runs, plan)
-
-
-def simulate_dcf(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
-    return simulate("dcf", plan, params)
-
-
-def simulate_dcf_rts(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
-    """DCF plus a single RTS/CTS reservation opening the image burst."""
-    return simulate("dcf-rts", plan, params)
-
-
-def simulate_pcf(plan: FragmentationPlan, params: MacParameters) -> ScenarioResult:
-    """Contention-free delivery; PIFS once to seize the medium."""
-    return simulate("pcf", plan, params)
 
 
 @dataclass(frozen=True)

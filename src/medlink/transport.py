@@ -15,8 +15,8 @@ tell the transfer is over.
 
 A fragmentation plan is just the transfer size, the blocksize and the
 ACK flag. Every data block but the last is full, so the blocks form at
-most two runs of equal packets; the block list is derived from the size
-on demand, and the MAC model prices each run once.
+most two runs of equal packets; the runs are derived from the size on
+demand, and the MAC model prices each run once.
 
 Size bookkeeping uses binary prefixes throughout this module: 1 kbit is
 1024 bit and 1 Mbit is 1024 kbit. That convention is what makes the
@@ -63,12 +63,12 @@ class FragmentationPlan:
     """How one compressed bitstream of ``size`` bytes splits into TFTP
     data packets of ``blocksize`` bytes.
 
-    The blocks are derived, not stored: ``data_blocks`` holds the TFTP
-    block payload of every data packet in order, and a trailing 0 is the
-    explicit end-of-transfer block. ``runs`` gives the same blocks as
-    (payload, packet count) runs. When ``tftp_ack`` is set the receiver
-    answers every data packet with a lock-step TFTP acknowledgment (its
-    own 40-byte MSDU), which the MAC simulator accounts for.
+    The blocks are derived, not stored: ``runs`` gives the TFTP block
+    payloads of the data packets in order as (payload, packet count) runs,
+    and a trailing 0 is the explicit end-of-transfer block. When
+    ``tftp_ack`` is set the receiver answers every data packet with a
+    lock-step TFTP acknowledgment (its own 40-byte MSDU), which the MAC
+    simulator accounts for.
     """
 
     blocksize: int
@@ -89,16 +89,6 @@ class FragmentationPlan:
         in order: the full blocks, then the short or zero-length last one."""
         full, last = divmod(self.size, self.blocksize)
         return ((self.blocksize, full), (last, 1)) if full else ((last, 1),)
-
-    @property
-    def data_blocks(self) -> tuple[int, ...]:
-        full, last = divmod(self.size, self.blocksize)
-        return (self.blocksize,) * full + (last,)
-
-    @property
-    def packet_payloads(self) -> tuple[int, ...]:
-        """MSDU size of each data packet (block plus protocol overhead)."""
-        return tuple(b + PACKET_OVERHEAD for b in self.data_blocks)
 
     @property
     def data_packet_count(self) -> int:

@@ -18,12 +18,10 @@ from medlink.huffman import huffman_build
 from medlink.image_io import GrayImage
 from medlink.macsim import (
     PROFILE_11B,
+    SCENARIOS,
     MacParameters,
     budget_superframe,
     simulate,
-    simulate_dcf,
-    simulate_dcf_rts,
-    simulate_pcf,
 )
 
 # achieved ratio window at the reference target
@@ -96,20 +94,20 @@ def test_mac_timing_matches_reference_profile():
             assert res.total_ms == pytest.approx(
                 target_ms, rel=TIMING_TOLERANCE
             ), (scenario, side, res.total_ms)
-    eff = simulate_dcf(_nominal_plan(512), PROFILE_11B).effective_throughput
+    eff = simulate("dcf", _nominal_plan(512), PROFILE_11B).effective_throughput
     assert eff == pytest.approx(EFFECTIVE_DCF_512_TARGET, rel=TIMING_TOLERANCE)
     assert time.perf_counter() - start < 1.0
 
 
 def test_ten_images_per_second_feasibility():
-    for sim in (simulate_dcf, simulate_dcf_rts, simulate_pcf):
-        assert sim(_nominal_plan(256), PROFILE_11B).meets_10fps
-        assert sim(_nominal_plan(512), PROFILE_11B).meets_10fps
-        assert not sim(_nominal_plan(2000), PROFILE_11B).meets_10fps
+    for scenario in SCENARIOS:
+        assert simulate(scenario, _nominal_plan(256), PROFILE_11B).meets_10fps
+        assert simulate(scenario, _nominal_plan(512), PROFILE_11B).meets_10fps
+        assert not simulate(scenario, _nominal_plan(2000), PROFILE_11B).meets_10fps
 
 
 def test_superframe_accommodates_polled_image():
-    res = simulate_pcf(_nominal_plan(512), PROFILE_11B)
+    res = simulate("pcf", _nominal_plan(512), PROFILE_11B)
     budget = budget_superframe(res.total_time, 100_000.0)
     assert budget.feasible
     assert 60.0 <= budget.cfp_ms <= 75.0
@@ -133,11 +131,11 @@ def test_entropy_code_is_near_optimal():
     for _ in range(100):
         nsym = int(rng.integers(2, 41))
         counts = rng.integers(1, 1000, size=nsym)
-        freqs = {int(s): int(c) for s, c in enumerate(counts)}
         total = counts.sum()
         p = counts / total
         h0 = float(-(p * np.log2(p)).sum())
-        mean = huffman_build(freqs).mean_length(freqs)
+        lengths = huffman_build(np.arange(nsym), counts).lengths.astype(np.int64)
+        mean = lengths @ counts / total
         assert h0 <= mean < h0 + 1.0
 
 
@@ -160,10 +158,11 @@ def test_fragmentation_reassembles_exactly():
         blocksize = int(rng.choice(transport.BLOCKSIZES))
         plan = transport.fragment(nbytes, blocksize)
         assert plan.total_payload_bytes == nbytes
-        assert all(0 <= b <= blocksize for b in plan.data_blocks)
-        assert all(b == blocksize for b in plan.data_blocks[:-1])
+        assert sum(block * count for block, count in plan.runs) == nbytes
+        assert all(0 <= block <= blocksize for block, _ in plan.runs)
+        assert all(block == blocksize for block, _ in plan.runs[:-1])
         # the last block is short, or an explicit zero-length terminator
-        assert plan.data_blocks[-1] == nbytes % blocksize
+        assert plan.runs[-1] == (nbytes % blocksize, 1)
 
 
 def test_access_scenario_ordering():
@@ -186,9 +185,9 @@ def test_access_scenario_ordering():
         plan = transport.fragment(
             int(rng.integers(32_768, 500_000)), int(rng.choice([512, 1024, 2048]))
         )
-        t_pcf = simulate_pcf(plan, params).total_time
-        t_dcf = simulate_dcf(plan, params).total_time
-        t_rts = simulate_dcf_rts(plan, params).total_time
+        t_pcf = simulate("pcf", plan, params).total_time
+        t_dcf = simulate("dcf", plan, params).total_time
+        t_rts = simulate("dcf-rts", plan, params).total_time
         assert t_pcf <= t_dcf <= t_rts
 
 

@@ -48,18 +48,39 @@ def _sample_stream(payload=b"\xa5\x80", payload_bits=10):
         bit_depth=16,
         levels=2,
         steps=(1, 2, 2, 3, 5, 5, 9),
-        code_lengths={-3: 3, 0: 1, 2: 2, 700: 3},
+        symbols=np.array([-3, 0, 2, 700]),
+        code_lengths=np.array([3, 1, 2, 3], dtype=np.uint8),
         payload=payload,
         payload_bit_length=payload_bits,
     )
+
+
+def _entries_of(stream) -> list:
+    """The code table of ``stream`` as (symbol, length) pairs."""
+    return list(zip(stream.symbols.tolist(), stream.code_lengths.tolist()))
+
+
+def _fields(stream) -> list:
+    """Every field of ``stream``, an array one as its dtype and values."""
+    values = (getattr(stream, f.name) for f in dataclasses.fields(stream))
+    return [(v.dtype, v.tolist()) if isinstance(v, np.ndarray) else v for v in values]
 
 
 def test_round_trip_preserves_every_field():
     stream = _sample_stream()
     data = stream.to_bytes()
     back = CompressedBitstream.from_bytes(data)
-    assert back == stream
+    assert _fields(back) == _fields(stream)
     assert back.to_bytes() == data
+
+
+def test_code_table_reads_as_ascending_int64_symbols_and_uint8_lengths():
+    for data in (_sample_stream().to_bytes(), _lossless_container()):
+        stream = CompressedBitstream.from_bytes(data)
+        assert stream.symbols.dtype == np.int64
+        assert stream.code_lengths.dtype == np.uint8
+        assert stream.symbols.shape == stream.code_lengths.shape
+        assert np.all(stream.symbols[1:] > stream.symbols[:-1])
 
 
 def test_serialization_is_deterministic():
@@ -198,7 +219,7 @@ def test_code_length_beyond_cap_rejected_at_its_byte(offset, length):
     data = bytearray(_sample_stream().to_bytes())
     data[offset] = MAX_CODE_LENGTH
     lengths = CompressedBitstream.from_bytes(bytes(data)).code_lengths
-    assert MAX_CODE_LENGTH in lengths.values()
+    assert MAX_CODE_LENGTH in lengths.tolist()
     data[offset] = length
     with pytest.raises(BitstreamError, match=f"code length {length}") as err:
         CompressedBitstream.from_bytes(bytes(data))
@@ -207,9 +228,20 @@ def test_code_length_beyond_cap_rejected_at_its_byte(offset, length):
 
 def test_code_length_beyond_cap_rejected_on_write():
     stream = _sample_stream()
-    stream.code_lengths = {**stream.code_lengths, 700: MAX_CODE_LENGTH + 1}
-    with pytest.raises(BitstreamError, match="code length"):
+    for length in (0, MAX_CODE_LENGTH + 1, -3):
+        stream.code_lengths = np.array([3, 1, 2, length])
+        with pytest.raises(BitstreamError, match=f"code length {length} out of range"):
+            stream.to_bytes()
+
+
+@pytest.mark.parametrize("symbols", [[-3, 2, 0, 700], [-3, 0, 0, 700], [700, 2, 0, -3]])
+def test_unordered_or_repeated_symbols_rejected_on_write(symbols):
+    stream = _sample_stream()
+    stream.symbols = np.array(symbols)
+    with pytest.raises(BitstreamError, match="do not strictly ascend"):
         stream.to_bytes()
+    with pytest.raises(BitstreamError, match="do not strictly ascend"):
+        pack_header(8, 8, 16, 1, (1,) * 4, symbols, [1, 2, 3, 3], 0)
 
 
 @pytest.mark.parametrize("count", [10, 2**32 - 1])
@@ -263,15 +295,15 @@ def _with_entries(entries) -> bytes:
 def test_code_table_symbol_at_int32_limit_parses(symbol):
     # the limit replaces the entry at its own end of the table, so the
     # symbols still ascend
-    lengths = _sample_stream().code_lengths
-    replaced = max(lengths) if symbol > 0 else min(lengths)
-    entries = sorted((symbol if s == replaced else s, n) for s, n in lengths.items())
+    entries = _entries_of(_sample_stream())
+    at = -1 if symbol > 0 else 0
+    entries[at] = (symbol, entries[at][1])
     stream = CompressedBitstream.from_bytes(_with_entries(entries))
-    assert stream.code_lengths == dict(entries)
+    assert _entries_of(stream) == entries
 
 
 def test_code_table_with_a_repeated_symbol_rejected_at_the_repeat():
-    entries = list(_sample_stream().code_lengths.items())
+    entries = _entries_of(_sample_stream())
     assert _with_entries(entries) == _sample_stream().to_bytes()
     # the first entry again, after the last: it would override the length
     with pytest.raises(BitstreamError, match="symbol -3 does not follow 700") as err:
@@ -281,7 +313,7 @@ def test_code_table_with_a_repeated_symbol_rejected_at_the_repeat():
 
 def test_code_table_out_of_order_rejected_at_the_first_late_entry():
     # reversed: 700 (a 2-byte varint and a length byte), then 2 at byte 53
-    entries = list(_sample_stream().code_lengths.items())[::-1]
+    entries = _entries_of(_sample_stream())[::-1]
     with pytest.raises(BitstreamError, match="symbol 2 does not follow 700") as err:
         CompressedBitstream.from_bytes(_with_entries(entries))
     assert err.value.offset == 53
@@ -299,17 +331,17 @@ _VARINT_EDGE_SYMBOLS = sorted(
 @pytest.mark.parametrize("levels", [1, 3])
 def test_header_size_counts_each_varint_width(symbol, levels):
     steps = (1,) * (1 + 3 * levels)
-    header = pack_header(8, 8, 16, levels, steps, {symbol: 1}, 5)
+    header = pack_header(8, 8, 16, levels, steps, [symbol], [1], 5)
     assert header_size(levels, np.array([symbol], dtype=np.int32)) == len(header)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_header_size_counts_a_whole_table(dtype):
-    lengths = dict.fromkeys(_VARINT_EDGE_SYMBOLS, 7)
-    header = pack_header(4096, 4096, 8, 13, (9,) * 40, lengths, 2**40)
+    lengths = [7] * len(_VARINT_EDGE_SYMBOLS)
+    header = pack_header(4096, 4096, 8, 13, (9,) * 40, _VARINT_EDGE_SYMBOLS, lengths, 2**40)
     assert header_size(13, np.array(_VARINT_EDGE_SYMBOLS, dtype=dtype)) == len(header)
     assert header_size(2, np.zeros(0, dtype=dtype)) == len(
-        pack_header(4, 4, 8, 2, (1,) * 7, {}, 0)
+        pack_header(4, 4, 8, 2, (1,) * 7, [], [], 0)
     )
 
 
@@ -323,22 +355,21 @@ def test_header_follows_fields_changed_after_construction():
     assert CompressedBitstream.from_bytes(stream.to_bytes()).steps == bumped
     # one code table entry fewer: the header shrinks with it
     before = stream.bit_length
-    smallest = min(stream.code_lengths)
-    stream.code_lengths = {s: n for s, n in stream.code_lengths.items() if s != smallest}
+    stream.symbols, stream.code_lengths = stream.symbols[1:], stream.code_lengths[1:]
     assert stream.bit_length == len(stream.to_bytes()) * 8 < before
 
 
-def _pack_header_by_entry(levels, steps, code_lengths, payload_bit_length, size=(8, 8)):
-    """Reference header writer: one Python step per table entry."""
+def _pack_header_by_entry(levels, steps, entries, payload_bit_length, size=(8, 8)):
+    """Reference header writer: one Python step per (symbol, length) entry."""
     buf = bytearray(MAGIC)
     buf.append(1)
     buf += struct.pack("<II", *size)
     buf += bytes([16, levels, 1])
     buf += struct.pack("<H", len(steps)) + struct.pack(f"<{len(steps)}I", *steps)
-    buf += struct.pack("<I", len(code_lengths))
-    for symbol in sorted(code_lengths):
+    buf += struct.pack("<I", len(entries))
+    for symbol, length in entries:
         _write_uvarint(buf, _zigzag(symbol))
-        buf.append(code_lengths[symbol])
+        buf.append(length)
     return bytes(buf + struct.pack("<Q", payload_bit_length))
 
 
@@ -349,29 +380,31 @@ def _lossless_container(kind="mixed", side=16) -> bytes:
 def test_pack_header_writes_like_the_per_entry_writer():
     steps = (1,) * 10
     tables = [
-        {},
-        dict.fromkeys(_VARINT_EDGE_SYMBOLS, 9),
-        # out of order, and the symbols of 5-byte varints at the int32 limits
-        {2**31 - 1: 3, -(2**31): 2, 0: 1, -1: 3},
-        {s: 1 + s % MAX_CODE_LENGTH for s in range(-300, 300, 7)},
-        CompressedBitstream.from_bytes(_lossless_container()).code_lengths,
+        [],
+        [(s, 9) for s in _VARINT_EDGE_SYMBOLS],
+        # the symbols of 5-byte varints at the int32 limits
+        [(-(2**31), 2), (-1, 3), (0, 1), (2**31 - 1, 3)],
+        [(s, 1 + s % MAX_CODE_LENGTH) for s in range(-300, 300, 7)],
+        _entries_of(CompressedBitstream.from_bytes(_lossless_container())),
     ]
-    for lengths in tables:
-        expected = _pack_header_by_entry(3, steps, lengths, 12345)
-        assert pack_header(8, 8, 16, 3, steps, lengths, 12345) == expected
-        assert header_size(3, np.array(list(lengths), dtype=np.int64)) == len(expected)
+    for entries in tables:
+        symbols = np.array([s for s, _ in entries], dtype=np.int64)
+        lengths = np.array([n for _, n in entries], dtype=np.uint8)
+        expected = _pack_header_by_entry(3, steps, entries, 12345)
+        assert pack_header(8, 8, 16, 3, steps, symbols, lengths, 12345) == expected
+        assert header_size(3, symbols) == len(expected)
     values = np.array(_VARINT_EDGE_SYMBOLS + [2**40, -(2**62), 2**63 - 1], dtype=np.int64)
     assert bitstream._zigzag(values).tolist() == [_zigzag(v) for v in values.tolist()]
 
 
 def _parsed(data: bytes):
-    """The stream ``data`` parses to, as its fields and its table's order,
-    or the error's type, message and offset."""
+    """The fields of the stream ``data`` parses to, its code table arrays
+    with their dtypes, or the error's type, message and offset."""
     try:
         stream = CompressedBitstream.from_bytes(data)
     except BitstreamError as exc:
         return type(exc), str(exc), exc.offset
-    return stream, list(stream.code_lengths.items())
+    return _fields(stream)
 
 
 def _assert_reads_like_entry_loop(monkeypatch, cases):
@@ -392,7 +425,7 @@ def test_table_reader_matches_the_entry_loop(monkeypatch, chunk):
     table_end = len(data) - len(CompressedBitstream.from_bytes(data).payload) - 8
     table = range(count_at + 4, table_end)
     # symbols of one, two and three varint bytes
-    symbols = np.array(list(CompressedBitstream.from_bytes(data).code_lengths))
+    symbols = CompressedBitstream.from_bytes(data).symbols
     assert set(bitstream._varint_bytes(bitstream._zigzag(symbols)).tolist()) == {1, 2, 3}
     assert count > 3 * 64
     rng = np.random.default_rng(71)
@@ -404,16 +437,17 @@ def test_table_reader_matches_the_entry_loop(monkeypatch, chunk):
         cases.append(bytes(mutated))
     outcomes = _assert_reads_like_entry_loop(monkeypatch, cases)
     phrases = ("out of range", "in order", "truncated varint", "truncated code table entry")
-    reached = {p for o in outcomes if isinstance(o[0], type) for p in phrases if p in o[1]}
+    errors = [o for o in outcomes if isinstance(o, tuple)]
+    reached = {p for o in errors for p in phrases if p in o[1]}
     # clean reads as well as each kind of entry error
     assert reached == set(phrases)
-    assert sum(not isinstance(o[0], type) for o in outcomes) >= 5
+    assert len(outcomes) - len(errors) >= 5
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_table_reader_checks_the_order_across_chunks(monkeypatch, chunk):
     monkeypatch.setattr(bitstream, "_TABLE_CHUNK", chunk)
-    entries = sorted(_sample_stream().code_lengths.items())
+    entries = _entries_of(_sample_stream())
     cases = [_with_entries(entries)]
     # each entry repeated right after itself, and one step out of order
     for i in range(len(entries)):
@@ -429,15 +463,15 @@ def test_table_reader_reads_non_minimal_varints_like_the_entry_loop(monkeypatch)
     data = bytearray(_with_entries(entries))
     at = 50 + 2  # past -3's one-byte varint and its length byte: symbol 0
     padded = data[:at] + b"\x80\x80\x80\x80\x80\x00" + data[at + 1 :]
-    stream, _ = _assert_reads_like_entry_loop(monkeypatch, [bytes(padded)])[0]
-    assert stream.code_lengths == dict(entries)
+    _assert_reads_like_entry_loop(monkeypatch, [bytes(padded)])
+    assert _entries_of(CompressedBitstream.from_bytes(bytes(padded))) == entries
 
 
 def test_hostile_entry_count_reads_in_bounded_memory():
     # 250k valid 4-byte entries, then an entry count that claims twice as
     # many: every remaining byte's worth at 2 bytes an entry
     symbols = np.arange(8192, 8192 + 250_000, dtype=np.int64)
-    header = pack_header(2000, 2000, 16, 3, (1,) * 10, dict.fromkeys(symbols.tolist(), 20), 0)
+    header = pack_header(2000, 2000, 16, 3, (1,) * 10, symbols, np.full(symbols.size, 20), 0)
     data = bytearray(header[:-8])
     count_at = 18 + 4 * 10
     struct.pack_into("<I", data, count_at, (len(data) - count_at - 4) // 2)

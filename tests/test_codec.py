@@ -17,9 +17,9 @@ from medlink.codec import (
     DecodeError,
     RateControlError,
     _detokenize,
-    _frequencies,
     _ProbeSizer,
     _tokenize,
+    _value_table,
     _zero_runs,
     compress,
     decompress,
@@ -168,6 +168,7 @@ def test_decompress_of_truncated_payload_is_an_error():
         bit_depth=stream.bit_depth,
         levels=stream.levels,
         steps=stream.steps,
+        symbols=stream.symbols,
         code_lengths=stream.code_lengths,
         payload=stream.payload[: len(stream.payload) // 2],
         payload_bit_length=stream.payload_bit_length // 2,
@@ -184,7 +185,8 @@ OVERSIZED_CONTAINER = CompressedBitstream(
     bit_depth=16,
     levels=3,
     steps=(1,) * 10,
-    code_lengths={0: 1, 50000 * 50000: 1},
+    symbols=np.array([0, 50000 * 50000]),
+    code_lengths=np.array([1, 1], dtype=np.uint8),
     payload=b"\x40",  # tokens 0, 2.5e9
     payload_bit_length=2,
 ).to_bytes()
@@ -272,10 +274,10 @@ def test_hostile_steps_and_indices_decode_to_the_clamped_stream(seed):
     flat = rng.choice(indices, size=width * height)
     steps = tuple(int(s) for s in rng.choice([1, 3, 65536, 2**31, 2**32 - 1], size=7))
     tokens = _tokenize(flat)
-    code = huffman_build(_frequencies(tokens))
+    code = huffman_build(*_value_table(tokens))
     payload, bits = huffman_encode(tokens, code)
     container = CompressedBitstream(
-        width, height, 16, levels, steps, code.lengths, payload, bits
+        width, height, 16, levels, steps, code.symbols, code.lengths, payload, bits
     ).to_bytes()
     decoded = decompress(CompressedBitstream.from_bytes(container))
     # the reference: exact Python-int products, clamped, in an int64 stream
@@ -484,24 +486,26 @@ def test_probe_sizer_frequencies_match_tokenized_stream():
         for _ in range(6):
             steps = rng.choice([1, 1, 2, 3, 5, 64, 255, 1000, 4096], size=1 + 3 * levels)
             config = QuantizerConfig(tuple(steps))
-            expected = _frequencies(_tokenize(quantize(pyramid, config).coefficients))
+            tokens = _tokenize(quantize(pyramid, config).coefficients)
+            expected = Counter(tokens.tolist())
             symbols, counts = sizer.frequencies(config)
-            assert symbols.tolist() == list(expected)
-            assert counts.tolist() == list(expected.values())
+            assert symbols.tolist() == sorted(expected)
+            assert counts.tolist() == [expected[s] for s in sorted(expected)]
 
 
 def test_compress_builds_one_huffman_code(monkeypatch):
     builds = []
 
-    def counting(frequencies):
-        builds.append(len(frequencies))
-        return huffman_build(frequencies)
+    def counting(*args):
+        code = huffman_build(*args)
+        builds.append(len(code))
+        return code
 
     monkeypatch.setattr(codec, "huffman_build", counting)
     img = synth_image("blobs", 64, 64, bit_depth=16, seed=1)
     stream = compress(img, target_cr=10.0)
     # the probes are priced from code lengths; only the final encode builds
-    assert builds == [len(stream.code_lengths)]
+    assert builds == [stream.symbols.size]
 
 
 def test_probe_sizer_total_bits_match_container():

@@ -8,6 +8,7 @@ sequential walk and with its lane constants made small, so that every
 payload spans many lanes and some lanes fall back to the walk.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -33,6 +34,41 @@ from medlink.huffman import (
 from medlink.synth import synth_image
 
 
+def _build(freqs):
+    """``huffman_build`` over a {symbol: count} dict."""
+    symbols = sorted(freqs)
+    return huffman_build(symbols, [freqs[s] for s in symbols])
+
+
+def _code(table):
+    """``HuffmanCode`` over a {symbol: length} dict."""
+    symbols = sorted(table)
+    return HuffmanCode(symbols, [table[s] for s in symbols])
+
+
+def _table(code):
+    """The {symbol: length} dict of ``code``."""
+    return dict(zip(code.symbols.tolist(), code.lengths.tolist()))
+
+
+def _without(code, symbol):
+    """``code`` with the entry of ``symbol`` dropped: an incomplete code."""
+    keep = code.symbols != symbol
+    return HuffmanCode(code.symbols[keep], code.lengths[keep])
+
+
+# the reference coders ask for the same few codes many times in a row
+@functools.lru_cache(maxsize=4)
+def _codewords(code):
+    """{symbol: codeword as a string of bits}, each taken from
+    ``huffman_encode`` of the symbol alone."""
+    words = {}
+    for s in code.symbols.tolist():
+        payload, nbits = huffman_encode([s], code)
+        words[s] = "".join(format(byte, "08b") for byte in payload)[:nbits]
+    return words
+
+
 def _entropy(freqs):
     total = sum(freqs.values())
     return -sum(f / total * math.log2(f / total) for f in freqs.values() if f)
@@ -50,8 +86,8 @@ def _brute_force_optimal_cost(freqs, max_len=8):
 
 
 def test_single_symbol_gets_one_bit():
-    code = huffman_build({42: 10})
-    assert code.lengths == {42: 1}
+    code = huffman_build([42], [10])
+    assert _table(code) == {42: 1}
     payload, nbits = huffman_encode([42, 42, 42], code)
     assert nbits == 3
     assert huffman_decode(payload, nbits, code).tolist() == [42, 42, 42]
@@ -59,11 +95,9 @@ def test_single_symbol_gets_one_bit():
 
 def test_three_symbol_example_is_optimal():
     freqs = {0: 1, 1: 1, 2: 2}
-    code = huffman_build(freqs)
-    assert code.lengths[0] == 2
-    assert code.lengths[1] == 2
-    assert code.lengths[2] == 1
-    cost = sum(freqs[s] * code.lengths[s] for s in freqs)
+    lengths = _table(_build(freqs))
+    assert lengths == {0: 2, 1: 2, 2: 1}
+    cost = sum(freqs[s] * lengths[s] for s in freqs)
     assert cost == 6
     assert cost == _brute_force_optimal_cost(freqs)
 
@@ -73,26 +107,28 @@ def test_weighted_cost_matches_brute_force_on_random_alphabets():
     for _ in range(20):
         n = int(rng.integers(2, 6))
         freqs = {int(s): int(rng.integers(1, 50)) for s in range(n)}
-        code = huffman_build(freqs)
-        cost = sum(freqs[s] * code.lengths[s] for s in freqs)
+        lengths = _table(_build(freqs))
+        cost = sum(freqs[s] * lengths[s] for s in freqs)
         assert cost == _brute_force_optimal_cost(freqs)
 
 
 def test_canonical_codes_ordered_by_length_then_symbol():
-    code = huffman_build({10: 5, 3: 5, 7: 20, -2: 40})
-    ordered = sorted(code.lengths.items(), key=lambda kv: (kv[1], kv[0]))
-    values = [code.codes[s] for s, _ in ordered]
+    code = _build({10: 5, 3: 5, 7: 20, -2: 40})
+    ordered = sorted(_table(code).items(), key=lambda kv: (kv[1], kv[0]))
+    codes = {s: int(word, 2) for s, word in _codewords(code).items()}
+    values = [codes[s] for s, _ in ordered]
     assert values == sorted(values)
     # shorter codes are numerically-left prefixes of the space
     for (s1, l1), (s2, l2) in zip(ordered, ordered[1:]):
-        assert code.codes[s1] << (l2 - l1) < code.codes[s2] + 1
+        assert codes[s1] << (l2 - l1) < codes[s2] + 1
 
 
 def test_codes_are_prefix_free():
     rng = np.random.default_rng(3)
     freqs = {int(s): int(f) for s, f in enumerate(rng.integers(1, 100, size=40))}
-    code = huffman_build(freqs)
-    strings = [format(code.codes[s], f"0{code.lengths[s]}b") for s in freqs]
+    code = _build(freqs)
+    strings = [_codewords(code)[s] for s in freqs]
+    assert [len(word) for word in strings] == code.lengths.tolist()
     for a, b in itertools.permutations(strings, 2):
         assert not a.startswith(b) or a == b
 
@@ -102,9 +138,10 @@ def test_mean_length_within_one_bit_of_entropy():
     for _ in range(50):
         n = int(rng.integers(2, 64))
         freqs = {int(s): int(rng.integers(1, 1000)) for s in range(n)}
-        code = huffman_build(freqs)
+        counts = np.array(list(freqs.values()))
+        lengths = _build(freqs).lengths.astype(np.int64)
         h0 = _entropy(freqs)
-        mean = code.mean_length(freqs)
+        mean = lengths @ counts / counts.sum()
         assert h0 <= mean + 1e-9
         assert mean < h0 + 1.0
 
@@ -118,7 +155,7 @@ def test_round_trip_random_streams():
         freqs: dict = {}
         for s in symbols:
             freqs[int(s)] = freqs.get(int(s), 0) + 1
-        code = huffman_build(freqs)
+        code = _build(freqs)
         payload, nbits = huffman_encode(symbols, code)
         assert len(payload) == (nbits + 7) // 8
         assert huffman_decode(payload, nbits, code).tolist() == [int(s) for s in symbols]
@@ -126,74 +163,94 @@ def test_round_trip_random_streams():
 
 def test_code_rebuilt_from_lengths_decodes_the_same():
     freqs = {1: 3, 2: 9, 5: 1, -4: 7}
-    code = huffman_build(freqs)
+    code = _build(freqs)
     payload, nbits = huffman_encode([1, 2, 5, -4, 2], code)
-    rebuilt = HuffmanCode(dict(code.lengths))
-    assert rebuilt.lengths == code.lengths
+    rebuilt = HuffmanCode(code.symbols.tolist(), code.lengths.tolist())
+    assert _table(rebuilt) == _table(code)
     assert huffman_decode(payload, nbits, rebuilt).tolist() == [1, 2, 5, -4, 2]
 
 
 def test_empty_alphabet_rejected():
     with pytest.raises(HuffmanError, match="empty"):
-        huffman_build({})
+        huffman_build([], [])
     with pytest.raises(HuffmanError, match="empty"):
-        huffman_build({3: 0})
+        HuffmanCode([], [])
+    for counts in ([0], [5, 0], [3, -1]):
+        with pytest.raises(HuffmanError, match="counts must be positive"):
+            huffman_build(list(range(len(counts))), counts)
+
+
+def test_code_table_is_int64_symbols_and_uint8_lengths():
+    code = huffman_build(np.array([-5, 0, 9], dtype=np.int32), [3, 1, 1])
+    assert code.symbols.dtype == np.int64 and code.symbols.tolist() == [-5, 0, 9]
+    assert code.lengths.dtype == np.uint8 and code.lengths.tolist() == [1, 2, 2]
+    assert len(code) == 3
+    with pytest.raises(HuffmanError, match="3 symbols, 2 code lengths"):
+        HuffmanCode([1, 2, 3], [1, 1])
+
+
+@pytest.mark.parametrize("symbols", [[2, 1, 3], [1, 1, 3], [3, 2, 1]])
+def test_unordered_or_repeated_symbols_rejected(symbols):
+    with pytest.raises(HuffmanError, match="do not strictly ascend"):
+        HuffmanCode(symbols, [1, 2, 2])
+    with pytest.raises(HuffmanError, match="do not strictly ascend"):
+        huffman_build(symbols, [1, 1, 1])
 
 
 def test_unknown_symbol_rejected_on_encode():
-    code = huffman_build({1: 1, 2: 1})
+    code = huffman_build([1, 2], [1, 1])
     with pytest.raises(HuffmanError, match="not in code table"):
         huffman_encode([1, 3], code)
 
 
 def test_truncated_codeword_reports_bit_offset():
-    code = huffman_build({0: 8, 1: 4, 2: 2, 3: 1, 4: 1})
+    code = huffman_build([0, 1, 2, 3, 4], [8, 4, 2, 1, 1])
     payload, nbits = huffman_encode([0, 1, 2, 3, 4] * 4, code)
     with pytest.raises(HuffmanDecodeError, match="truncated codeword") as err:
         huffman_decode(payload, nbits - 1, code)  # cuts the last codeword
-    assert err.value.bit_offset == nbits - code.lengths[4]
+    assert err.value.bit_offset == nbits - _table(code)[4]
 
 
 def test_unmatchable_bits_report_offset():
     # an incomplete code (Kraft sum 1/4) cannot decode a run of ones
-    sparse = HuffmanCode({5: 2})
+    sparse = HuffmanCode([5], [2])
     with pytest.raises(HuffmanDecodeError) as err:
         huffman_decode(b"\xe0", 3, sparse)
     assert err.value.bit_offset == 0
 
 
 def test_bit_length_beyond_payload_rejected():
-    code = huffman_build({0: 1, 1: 1})
+    code = huffman_build([0, 1], [1, 1])
     with pytest.raises(HuffmanDecodeError):
         huffman_decode(b"\x00", 9, code)
 
 
 def test_invalid_length_table_rejected():
     with pytest.raises(HuffmanError):
-        HuffmanCode({1: 1, 2: 1, 3: 1})  # Kraft sum 1.5
+        HuffmanCode([1, 2, 3], [1, 1, 1])  # Kraft sum 1.5
     with pytest.raises(HuffmanError):
-        HuffmanCode({1: 0})
+        HuffmanCode([1], [0])
 
 
 def test_kraft_inequality_is_checked_exactly():
     # 2**-1 + 2**-2 + ... + 2**-56 + 2 * 2**-57 == 1
     complete = {sym: sym for sym in range(1, 57)} | {57: 57, 58: 57}
-    code = HuffmanCode(complete)
-    assert code.codes[58] == (1 << 57) - 1
+    code = _code(complete)
+    assert _codewords(code)[58] == "1" * 57
     payload, nbits = huffman_encode([58, 1, 57], code)
     assert huffman_decode(payload, nbits, code).tolist() == [58, 1, 57]
     with pytest.raises(HuffmanError, match="Kraft"):
-        HuffmanCode({**complete, 59: 57})  # 1 + 2**-57
+        _code({**complete, 59: 57})  # 1 + 2**-57
 
 
 def test_code_lengths_are_capped():
-    assert HuffmanCode({0: MAX_CODE_LENGTH, 1: 1}).max_length == MAX_CODE_LENGTH
+    assert HuffmanCode([0, 1], [MAX_CODE_LENGTH, 1]).max_length == MAX_CODE_LENGTH
     with pytest.raises(HuffmanError, match="code length"):
-        HuffmanCode({0: MAX_CODE_LENGTH + 1, 1: 1})
+        HuffmanCode([0, 1], [MAX_CODE_LENGTH + 1, 1])
     # Fibonacci frequencies build a chain: n symbols reach length n - 1
-    assert huffman_build(_fibonacci_frequencies(58)).max_length == 57
+    assert _build(_fibonacci_frequencies(58)).max_length == 57
     with pytest.raises(HuffmanError, match="code length 58"):
-        huffman_build(_fibonacci_frequencies(59))
+        _build(_fibonacci_frequencies(59))
 
 
 def _decode_bit_by_bit(data, bit_length, code):
@@ -201,7 +258,7 @@ def _decode_bit_by_bit(data, bit_length, code):
     so far up in a (length, codeword) -> symbol dict; no numpy."""
     if bit_length < 0 or bit_length > len(data) * 8:
         raise HuffmanDecodeError("bit length exceeds payload", len(data) * 8)
-    table = {(code.lengths[sym], c): sym for sym, c in code.codes.items()}
+    table = {(len(word), int(word, 2)): sym for sym, word in _codewords(code).items()}
     out = []
     acc = length = start = 0
     for pos in range(bit_length):
@@ -242,17 +299,17 @@ def _fibonacci_frequencies(n):
 
 def _random_codes(rng):
     """Single-symbol, complete, incomplete (Kraft < 1) and 57-bit codes."""
-    yield HuffmanCode({7: 1})
-    yield HuffmanCode({-3: 4})
-    yield huffman_build(_fibonacci_frequencies(58))
+    yield HuffmanCode([7], [1])
+    yield HuffmanCode([-3], [4])
+    yield _build(_fibonacci_frequencies(58))
     for _ in range(12):
         size = int(rng.integers(2, 40))
         symbols = rng.choice(np.arange(-60, 60), size=size, replace=False)
         weights = rng.integers(1, 1 << int(rng.integers(1, 20)), size=size)
-        lengths = huffman_build(dict(zip(symbols.tolist(), weights.tolist()))).lengths
-        yield HuffmanCode(lengths)
-        kept = rng.permutation(sorted(lengths))[: max(1, size // 2)]
-        yield HuffmanCode({sym: lengths[sym] for sym in kept.tolist()})
+        code = _build(dict(zip(symbols.tolist(), weights.tolist())))
+        yield code
+        kept = np.isin(code.symbols, rng.permutation(code.symbols)[: max(1, size // 2)])
+        yield HuffmanCode(code.symbols[kept], code.lengths[kept])
 
 
 def test_decoder_matches_reference_on_random_codes():
@@ -262,8 +319,7 @@ def test_decoder_matches_reference_on_random_codes():
 def _check_random_codes():
     rng = np.random.default_rng(41)
     for code in _random_codes(rng):
-        alphabet = np.array(sorted(code.lengths))
-        symbols = rng.choice(alphabet, size=int(rng.integers(1, 400)))
+        symbols = rng.choice(code.symbols, size=int(rng.integers(1, 400)))
         payload, nbits = huffman_encode(symbols, code)
         decoded = huffman_decode(payload, nbits, code)
         assert decoded.dtype == np.int64
@@ -282,13 +338,13 @@ def test_decoder_matches_reference_across_chunk_boundaries():
 def _check_chunk_boundaries() -> int:
     """Returns the dead position of the incomplete code's decode."""
     rng = np.random.default_rng(43)
-    code = huffman_build(_fibonacci_frequencies(58))
-    alphabet = np.array(sorted(code.lengths))
+    code = _build(_fibonacci_frequencies(58))
+    lengths = _table(code)
     # uniform draws average about 30 bits a codeword: several chunks
-    symbols = rng.choice(alphabet, size=9000)
+    symbols = rng.choice(code.symbols, size=9000)
     payload, nbits = huffman_encode(symbols, code)
     assert nbits > 3 * _CHUNK_BITS
-    widths = np.array([code.lengths[s] for s in symbols.tolist()])
+    widths = np.array([lengths[s] for s in symbols.tolist()])
     starts = np.cumsum(widths) - widths
     for boundary in range(_CHUNK_BITS, nbits, _CHUNK_BITS):
         assert np.any((starts < boundary) & (starts + widths > boundary))
@@ -298,9 +354,9 @@ def _check_chunk_boundaries() -> int:
     symbols[symbols == 1] = 2
     symbols[5000] = 1
     payload, nbits = huffman_encode(symbols, code)
-    dead = sum(code.lengths[s] for s in symbols[:5000].tolist())
+    dead = sum(lengths[s] for s in symbols[:5000].tolist())
     assert dead > 2 * _CHUNK_BITS
-    incomplete = HuffmanCode({s: n for s, n in code.lengths.items() if s != 1})
+    incomplete = _without(code, 1)
     outcome = _assert_decodes_like_reference(payload, nbits, incomplete)
     assert outcome == (f"no codeword matches (bit offset {dead})", dead)
     return dead
@@ -312,8 +368,8 @@ def test_decoder_matches_reference_on_every_truncation_and_bit_flip():
 
 def _check_truncations_and_bit_flips():
     rng = np.random.default_rng(47)
-    code = huffman_build({0: 40, 1: 20, 2: 10, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1})
-    incomplete = HuffmanCode({s: n for s, n in code.lengths.items() if s != 5})
+    code = huffman_build(np.arange(8), [40, 20, 10, 5, 3, 2, 1, 1])
+    incomplete = _without(code, 5)
     symbols = rng.choice(np.arange(8), size=60)
     payload, nbits = huffman_encode(symbols, code)
     outcomes = []
@@ -385,15 +441,15 @@ def test_lanes_match_reference_across_chunk_boundaries(monkeypatch, block, overr
 def test_lanes_carry_the_path_to_a_dead_position_several_lanes_in(monkeypatch):
     walks = _lanes(monkeypatch, 256, 128)
     rng = np.random.default_rng(53)
-    code = huffman_build({0: 40, 1: 20, 2: 10, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1})
+    code = huffman_build(np.arange(8), [40, 20, 10, 5, 3, 2, 1, 1])
     # symbol 7 is last in canonical order: the code without it keeps
     # every other codeword
     symbols = rng.choice(np.arange(7), size=20000)
     symbols[3000] = 7
     payload, nbits = huffman_encode(symbols, code)
-    dead = sum(code.lengths[s] for s in symbols[:3000].tolist())
+    dead = sum(_table(code)[s] for s in symbols[:3000].tolist())
     assert dead > 20 * 256
-    incomplete = HuffmanCode({s: n for s, n in code.lengths.items() if s != 7})
+    incomplete = _without(code, 7)
     outcome = _assert_decodes_like_reference(payload, nbits, incomplete)
     assert outcome == (f"no codeword matches (bit offset {dead})", dead)
     # every lane met the next up to the dead position, where the walk
@@ -406,7 +462,7 @@ def test_lanes_fall_back_and_resume_on_a_real_payload(monkeypatch):
     stream = compress(img, lossless=True)
     nbits = stream.payload_bit_length
     assert nbits >= huffman._LANE_MIN_BITS
-    code = HuffmanCode(stream.code_lengths)
+    code = HuffmanCode(stream.symbols, stream.code_lengths)
     walked = _walked(monkeypatch, stream.payload, nbits, code)
     # every lane meets the next within the default overrun
     walks = _lanes(monkeypatch)
@@ -439,7 +495,7 @@ def test_lanes_decode_a_medium_lossy_payload_like_the_walk(monkeypatch):
     nbits = stream.payload_bit_length
     # lanes of 2**16 bits on: the old lane threshold was 2**18
     assert huffman._LANE_MIN_BITS <= nbits < 1 << 18
-    code = HuffmanCode(stream.code_lengths)
+    code = HuffmanCode(stream.symbols, stream.code_lengths)
     assert huffman._lane_geometry(code) == (1024, 256)
     walked = _walked(monkeypatch, stream.payload, nbits, code)
     walks = []
@@ -453,7 +509,7 @@ def test_lanes_decode_losslessly_coded_noise_like_the_walk(monkeypatch):
     img = synth_image("noise", 256, 256, bit_depth=16, seed=0)
     stream = compress(img, lossless=True)
     nbits = stream.payload_bit_length
-    code = HuffmanCode(stream.code_lengths)
+    code = HuffmanCode(stream.symbols, stream.code_lengths)
     # the longest overrun, and blocks no longer than for shorter codewords
     assert huffman._lane_geometry(code) == (4096, 2048)
     walked = _walked(monkeypatch, stream.payload, nbits, code)
@@ -468,7 +524,7 @@ def test_lanes_decode_losslessly_coded_noise_like_the_walk(monkeypatch):
 def test_fixed_length_code_syncs_every_lane(monkeypatch):
     walks = _lanes(monkeypatch)
     rng = np.random.default_rng(59)
-    code = HuffmanCode(dict.fromkeys(range(8), 3))
+    code = HuffmanCode(np.arange(8), np.full(8, 3))
     symbols = rng.integers(0, 8, size=(1 << 19) // 3 + 1)
     payload, nbits = huffman_encode(symbols, code)
     assert nbits >= 1 << 19
@@ -487,7 +543,7 @@ def test_fixed_length_code_syncs_every_lane(monkeypatch):
 def test_decode_peak_memory_per_payload_bit():
     img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
     stream = compress(img, lossless=True)
-    code = HuffmanCode(stream.code_lengths)
+    code = HuffmanCode(stream.symbols, stream.code_lengths)
     tracemalloc.start()
     try:
         huffman_decode(stream.payload, stream.payload_bit_length, code)
@@ -511,16 +567,16 @@ def test_decode_peak_memory_per_payload_bit_with_short_codewords():
     # CR 5: 2-bit shortest codewords, so many symbols per payload bit
     img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
     stream = compress(img, target_cr=5.0)
-    assert min(stream.code_lengths.values()) == 2
-    code = HuffmanCode(stream.code_lengths)
+    assert stream.code_lengths.min() == 2
+    code = HuffmanCode(stream.symbols, stream.code_lengths)
     assert _decode_peak_per_bit(stream.payload, stream.payload_bit_length, code) <= 12.5
 
 
 def test_decode_peak_memory_per_payload_bit_with_a_one_bit_codeword():
     # the tallest lane table: a step can be a single bit
     rng = np.random.default_rng(61)
-    code = huffman_build({0: 8, 1: 4, 2: 2, 3: 2})
-    assert code.lengths[0] == 1
+    code = huffman_build([0, 1, 2, 3], [8, 4, 2, 2])
+    assert _table(code)[0] == 1
     symbols = rng.choice(4, size=600_000, p=[0.5, 0.25, 0.125, 0.125])
     payload, nbits = huffman_encode(symbols, code)
     assert nbits >= 1 << 20
@@ -530,21 +586,19 @@ def test_decode_peak_memory_per_payload_bit_with_a_one_bit_codeword():
 def test_decoding_builds_no_codeword_dicts():
     img = synth_image("blobs", 64, 64, bit_depth=16, seed=3)
     stream = compress(img, lossless=True)
-    code = HuffmanCode(stream.code_lengths)
+    code = HuffmanCode(stream.symbols, stream.code_lengths)
     symbols = huffman_decode(stream.payload, stream.payload_bit_length, code)
     assert "_entries" not in code.__dict__
-    assert "codes" not in code.__dict__
     # the encoder derives its table on first use, and it reproduces the
     # payload from what was decoded
     assert huffman_encode(symbols, code) == (stream.payload, stream.payload_bit_length)
     assert "_entries" in code.__dict__
-    assert "codes" not in code.__dict__
 
 
 def _encode_by_join(symbols, code):
     """Reference encoder: joins the codewords as strings of bits and packs
     them; no per-symbol numpy."""
-    table = {s: format(c, f"0{code.lengths[s]}b") for s, c in code.codes.items()}
+    table = _codewords(code)
     try:
         bits = "".join([table[s] for s in symbols])
     except KeyError as exc:
@@ -575,7 +629,7 @@ def test_encoder_matches_join_on_random_codes():
     wide = 0
     for i, code in enumerate(_random_codes(rng)):
         wide += code._entries[2] is not None
-        alphabet = np.array(sorted(code.lengths))
+        alphabet = code.symbols
         # a partial word carried across one and two chunk edges
         for size in (0, 1, 100) + ((chunk - 1, chunk, 2 * chunk + 7) if i % 5 == 0 else ()):
             symbols = rng.choice(alphabet, size=size)
@@ -589,15 +643,16 @@ def test_encoder_packs_across_word_and_chunk_edges():
     rng = np.random.default_rng(71)
     chunk = huffman._ENCODE_TOKENS
     # lengths 1 to 57: symbol s has length s + 1, and 56 and 57 have 57
-    code = huffman_build(_fibonacci_frequencies(58))
-    by_length = {n: s for s, n in sorted(code.lengths.items(), reverse=True)}
-    symbols = rng.choice(np.array(sorted(code.lengths)), size=2 * chunk + 3)
+    code = _build(_fibonacci_frequencies(58))
+    lengths = _table(code)
+    by_length = {n: s for s, n in sorted(lengths.items(), reverse=True)}
+    symbols = rng.choice(code.symbols, size=2 * chunk + 3)
     # 57- and 1-bit codewords on both sides of each chunk edge
     for edge in (chunk, 2 * chunk):
         symbols[edge - 2 : edge + 2] = [by_length[57], by_length[1]] * 2
     # 57 + 7 bits end on the first word boundary; 57 + 57 cross the second
     symbols[:4] = [by_length[57], by_length[7], by_length[57], by_length[57]]
-    widths = np.array([code.lengths[s] for s in symbols.tolist()])
+    widths = np.array([lengths[s] for s in symbols.tolist()])
     ends = np.cumsum(widths)
     assert ends[1] == 64 and ends[2] < 128 < ends[3]
     # many codewords end on a word boundary, many cross one
@@ -622,7 +677,7 @@ INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 )
 def test_encoder_looks_up_symbols_at_the_int32_limits(symbols):
     rng = np.random.default_rng(73)
-    code = huffman_build({s: int(rng.integers(1, 100)) for s in symbols})
+    code = _build({s: int(rng.integers(1, 100)) for s in symbols})
     assert (code._entries[2] is not None) == (len(symbols) == 3)
     stream = rng.choice(np.array(symbols, dtype=np.int32), size=5000)
     for each in (stream, stream.astype(np.int64), stream.tolist()):
@@ -638,7 +693,7 @@ def test_encoder_looks_up_symbols_at_the_int32_limits(symbols):
 
 def test_encoder_handles_empty_input_and_names_the_first_unknown_symbol():
     chunk = huffman._ENCODE_TOKENS
-    code = huffman_build({1: 5, 2: 3, 4: 1})
+    code = huffman_build([1, 2, 4], [5, 3, 1])
     for empty in ([], np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)):
         assert huffman_encode(empty, code) == (b"", 0)
     # a symbol inside the table's span but not in it, in a later chunk
@@ -657,7 +712,7 @@ def test_encode_peak_memory_is_below_the_joins():
     # CR 5: 277,914 tokens; joining them as strings took 5.15 MiB
     img = synth_image("mixed", 512, 512, bit_depth=16, seed=0)
     stream = compress(img, target_cr=5.0)
-    code = HuffmanCode(stream.code_lengths)
+    code = HuffmanCode(stream.symbols, stream.code_lengths)
     tokens = huffman_decode(stream.payload, stream.payload_bit_length, code)
     tokens = tokens.astype(np.int32)
     tracemalloc.start()
@@ -726,7 +781,7 @@ def test_code_lengths_equal_the_heap_builders_lengths():
         expected = _heap_lengths(freqs)
         lengths = code_lengths([freqs[s] for s in symbols])
         assert lengths.tolist() == [expected[s] for s in symbols]
-        assert huffman_build(freqs).lengths == expected
+        assert _table(_build(freqs)) == expected
 
 
 def _code_lengths_by_loop(counts):
@@ -776,19 +831,23 @@ def test_code_lengths_equal_the_loop_tie_for_tie():
     assert int(code_lengths(cases[6]).max()) == 58
 
 
-def _code_tables_by_loop(lengths):
-    """Reference ``HuffmanCode`` tables, built with sorts over the dict's
-    items: (lengths, longest, limits, offset, (length, symbol) order,
-    counts per length, gcd), or the HuffmanError message."""
+def _code_tables_by_loop(entries):
+    """Reference ``HuffmanCode`` tables from (symbol, length) pairs, built
+    with Python loops and a sort: (entries, longest, limits, offset,
+    (length, symbol) order, counts per length, gcd), or the HuffmanError
+    message."""
     try:
-        if not lengths:
+        if not entries:
             raise HuffmanError("empty code table")
-        for sym, length in lengths.items():
+        if any(b <= a for (a, _), (b, _) in zip(entries, entries[1:])):
+            raise HuffmanError("code table symbols do not strictly ascend")
+        for sym, length in entries:
             if not 1 <= length <= MAX_CODE_LENGTH:
                 raise HuffmanError(f"code length {length} for symbol {sym}")
-        table = dict(sorted(lengths.items()))
-        longest = max(lengths.values())
-        counts = np.bincount(list(lengths.values()), minlength=longest + 1).tolist()
+        longest = max(length for _, length in entries)
+        counts = [0] * (longest + 1)
+        for _, length in entries:
+            counts[length] += 1
         limits, first, base = [], [0], [0]
         next_code = 0
         for length in range(1, longest + 1):
@@ -801,19 +860,19 @@ def _code_tables_by_loop(lengths):
             next_code <<= 1
     except HuffmanError as exc:
         return str(exc)
-    ordered = [s for s, _ in sorted(table.items(), key=lambda item: item[1])]
-    offset = (np.array(base, dtype=np.uint64) - np.array(first, dtype=np.uint64)).tolist()
-    gcd = math.gcd(*np.flatnonzero(counts).tolist())
-    return list(table.items()), longest, limits, offset, ordered, counts, gcd
+    ordered = [s for s, _ in sorted(entries, key=lambda item: item[1])]
+    offset = [(b - f) % 2**64 for b, f in zip(base, first)]
+    gcd = math.gcd(*[length for length, count in enumerate(counts) if count])
+    return list(entries), longest, limits, offset, ordered, counts, gcd
 
 
-def _code_tables(lengths):
+def _code_tables(entries):
     try:
-        code = HuffmanCode(lengths)
+        code = HuffmanCode([s for s, _ in entries], [n for _, n in entries])
     except HuffmanError as exc:
         return str(exc)
     return (
-        list(code.lengths.items()),
+        list(zip(code.symbols.tolist(), code.lengths.tolist())),
         code.max_length,
         code._limits.tolist(),
         code._offset.tolist(),
@@ -825,28 +884,31 @@ def _code_tables(lengths):
 
 def test_code_tables_equal_the_loop_built_tables():
     rng = np.random.default_rng(71)
-    tables = [{}, {3: 0}, {1: 1, 2: 1, 3: 1}, {0: MAX_CODE_LENGTH + 1, 1: 1}]
-    # two bad lengths: the first in the table's order is named
-    tables.append({5: 2, 3: 0, 1: MAX_CODE_LENGTH + 1})
-    tables += [_fibonacci_frequencies(58), dict.fromkeys(range(-4, 4), 3)]
-    tables[-2] = huffman_build(tables[-2]).lengths
+    tables = [[], [(3, 0)], [(1, 1), (2, 1), (3, 1)], [(0, MAX_CODE_LENGTH + 1), (1, 1)]]
+    # two bad lengths: the first in symbol order is named
+    tables.append([(1, 2), (3, 0), (5, MAX_CODE_LENGTH + 1)])
+    tables += [list(_table(_build(_fibonacci_frequencies(58))).items())]
+    tables += [[(s, 3) for s in range(-4, 4)]]
     for _ in range(40):
         size = int(rng.integers(1, 3000))
         symbols = rng.choice(np.arange(-5 * size, 5 * size), size=size, replace=False)
         weights = rng.zipf(1.5, size=size).clip(max=10**6)
-        lengths = huffman_build(dict(zip(symbols.tolist(), weights.tolist()))).lengths
-        # the same table in the random order of its symbols, one entry
-        # dropped (incomplete), and one made too long or too short
-        shuffled = dict(zip(symbols.tolist(), [lengths[s] for s in symbols.tolist()]))
-        tables.append(shuffled)
-        tables.append(dict(list(shuffled.items())[1:]) or shuffled)
-        bad = dict(shuffled)
-        bad[symbols[size // 2].item()] = int(rng.choice([0, MAX_CODE_LENGTH + 1, -3]))
+        lengths = _table(_build(dict(zip(symbols.tolist(), weights.tolist()))))
+        # the table, one entry dropped (incomplete), one length made too
+        # long or too short, and the table in the random order of its
+        # symbols
+        entries = list(lengths.items())
+        tables.append(entries)
+        tables.append(entries[1:] or entries)
+        bad = list(entries)
+        bad[size // 2] = (bad[size // 2][0], int(rng.choice([0, MAX_CODE_LENGTH + 1, -3])))
         tables.append(bad)
+        tables.append([(s, lengths[s]) for s in symbols.tolist()])
     outcomes = [_code_tables(t) for t in tables]
     assert outcomes == [_code_tables_by_loop(t) for t in tables]
     assert {o for o in outcomes if isinstance(o, str)} >= {
         "empty code table",
+        "code table symbols do not strictly ascend",
         "code lengths violate the Kraft inequality",
         "code length 0 for symbol 3",
     }
@@ -867,7 +929,8 @@ def test_decoder_matches_reference_at_every_table_width(monkeypatch, bits):
 def test_table_width_rule_widens_only_for_long_codes():
     def width(kind, w, h, **options):
         img = synth_image(kind, w, h, bit_depth=16, seed=1)
-        return huffman._table_bits(HuffmanCode(compress(img, **options).code_lengths))
+        stream = compress(img, **options)
+        return huffman._table_bits(HuffmanCode(stream.symbols, stream.code_lengths))
 
     # lossy codes of the benchmark's inputs keep the 12-bit table
     assert width("blobs", 256, 256, target_cr=5.0) == 12
@@ -876,4 +939,4 @@ def test_table_width_rule_widens_only_for_long_codes():
     # codeword has 16
     assert width("mixed", 255, 257, lossless=True) == 16
     # codes no longer than 12 bits get a table of their longest length
-    assert huffman._table_bits(huffman_build({0: 5, 1: 2, 2: 1})) == 2
+    assert huffman._table_bits(huffman_build([0, 1, 2], [5, 2, 1])) == 2

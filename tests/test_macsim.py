@@ -38,11 +38,8 @@ from medlink.macsim import (
     frame_airtime,
     load_mac_config,
     simulate,
-    simulate_dcf,
-    simulate_dcf_rts,
-    simulate_pcf,
 )
-from medlink.transport import ACK_MSDU, BLOCKSIZES, fragment
+from medlink.transport import ACK_MSDU, BLOCKSIZES, PACKET_OVERHEAD, fragment
 
 
 def left_fold(values):
@@ -78,13 +75,16 @@ def random_mac_parameters(rng) -> MacParameters:
 
 
 def per_packet_simulate(scenario, plan, params) -> ScenarioResult:
-    """Reference: every packet timed in a Python loop over
-    ``packet_payloads`` (one exchange per distinct MSDU), each
-    nanosecond count divided on its own and the total added in order."""
+    """Reference: every packet timed in a Python loop over its MSDU,
+    listed here from the plan's size (one exchange per distinct MSDU),
+    each nanosecond count divided on its own and the total added in
+    order."""
     exchange_ns, surcharge_ns = _SCENARIO_TIMING[scenario]
+    full, last = divmod(plan.size, plan.blocksize)
     cache = {}
     packet_ns = []
-    for msdu in plan.packet_payloads:
+    for block in [plan.blocksize] * full + [last]:
+        msdu = block + PACKET_OVERHEAD
         if msdu not in cache:
             cache[msdu] = exchange_ns(params, msdu)
             if plan.tftp_ack:
@@ -186,7 +186,7 @@ def test_packet_times_that_sum_past_a_float_are_out_of_range():
 def test_dcf_single_packet_expansion():
     """One full block at 11 Mb/s, retransmission factor 2, zero backoff."""
     plan = fragment(512, 1024)  # a single 512-byte block
-    res = simulate_dcf(plan, PROFILE_11B)
+    res = simulate("dcf", plan, PROFILE_11B)
     t_data = frame_airtime(PROFILE_11B, 512 + 40, 11e6)
     t_ack = control_airtime(PROFILE_11B, 14)
     expected = 50 + 2 * (t_data + 10 + t_ack) + 10
@@ -196,8 +196,8 @@ def test_dcf_single_packet_expansion():
 
 def test_dcf_scales_linearly_in_full_packets():
     p = PROFILE_11B
-    one = simulate_dcf(fragment(512, 512), p)  # 512 + terminator
-    many = simulate_dcf(fragment(5 * 512, 512), p)
+    one = simulate("dcf", fragment(512, 512), p)  # 512 + terminator
+    many = simulate("dcf", fragment(5 * 512, 512), p)
     per_full = one.per_packet_times[0]
     assert many.per_packet_times[:5] == (per_full,) * 5
     assert many.total_time == pytest.approx(
@@ -207,8 +207,8 @@ def test_dcf_scales_linearly_in_full_packets():
 
 def test_backoff_adds_slot_multiples():
     plan = fragment(4096, 512)
-    base = simulate_dcf(plan, PROFILE_11B)
-    contended = simulate_dcf(
+    base = simulate("dcf", plan, PROFILE_11B)
+    contended = simulate("dcf", 
         plan, replace(PROFILE_11B, mean_backoff_slots=MEAN_BACKOFF_HALF_CWMIN_11B)
     )
     extra = contended.total_time - base.total_time
@@ -219,8 +219,8 @@ def test_backoff_adds_slot_multiples():
 
 def test_rts_variant_adds_exactly_one_reservation():
     plan = fragment(25_600, 512)
-    dcf = simulate_dcf(plan, PROFILE_11B)
-    rts = simulate_dcf_rts(plan, PROFILE_11B)
+    dcf = simulate("dcf", plan, PROFILE_11B)
+    rts = simulate("dcf-rts", plan, PROFILE_11B)
     reservation = (
         control_airtime(PROFILE_11B, 20) + control_airtime(PROFILE_11B, 14) + 2 * 10
     )
@@ -230,7 +230,7 @@ def test_rts_variant_adds_exactly_one_reservation():
 
 def test_pcf_charges_pifs_once_and_no_difs():
     plan = fragment(1024, 1024)  # one full packet plus terminator
-    res = simulate_pcf(plan, PROFILE_11B)
+    res = simulate("pcf", plan, PROFILE_11B)
     t_data = frame_airtime(PROFILE_11B, 1024 + 40, 11e6)
     t_term = frame_airtime(PROFILE_11B, 40, 11e6)
     t_ack = control_airtime(PROFILE_11B, 14)
@@ -240,8 +240,8 @@ def test_pcf_charges_pifs_once_and_no_difs():
 
 def test_retransmission_factor_multiplies_exchanges():
     plan = fragment(2048, 512)
-    single = simulate_dcf(plan, replace(PROFILE_11B, retx_factor=1))
-    double = simulate_dcf(plan, PROFILE_11B)
+    single = simulate("dcf", plan, replace(PROFILE_11B, retx_factor=1))
+    double = simulate("dcf", plan, PROFILE_11B)
     t_data = frame_airtime(PROFILE_11B, 552, 11e6)
     t_term = frame_airtime(PROFILE_11B, 40, 11e6)
     t_ack = control_airtime(PROFILE_11B, 14)
@@ -251,8 +251,8 @@ def test_retransmission_factor_multiplies_exchanges():
 
 def test_total_equals_sum_of_packets():
     plan = fragment(100_000, 1024)
-    for sim in (simulate_dcf, simulate_dcf_rts, simulate_pcf):
-        res = sim(plan, PROFILE_11B)
+    for scenario in SCENARIOS:
+        res = simulate(scenario, plan, PROFILE_11B)
         assert res.total_time == left_fold(res.per_packet_times)
         assert len(res.per_packet_times) == res.packet_count
 
@@ -466,8 +466,8 @@ def test_a_timed_transfer_keeps_one_pointer_per_packet():
 
 def test_effective_throughput_below_phy_rate():
     plan = fragment(390_625, 2048)
-    for sim in (simulate_dcf, simulate_dcf_rts, simulate_pcf):
-        res = sim(plan, PROFILE_11B)
+    for scenario in SCENARIOS:
+        res = simulate(scenario, plan, PROFILE_11B)
         assert 0 < res.effective_throughput < PROFILE_11B.phy_rate
 
 
@@ -478,16 +478,16 @@ def test_scenario_ordering_across_random_parameter_sets():
         params = random_mac_parameters(rng)
         nbytes = int(rng.integers(32_768, 500_000))
         plan = fragment(nbytes, int(rng.choice([512, 1024, 2048])))
-        t_pcf = simulate_pcf(plan, params).total_time
-        t_dcf = simulate_dcf(plan, params).total_time
-        t_rts = simulate_dcf_rts(plan, params).total_time
+        t_pcf = simulate("pcf", plan, params).total_time
+        t_dcf = simulate("dcf", plan, params).total_time
+        t_rts = simulate("dcf-rts", plan, params).total_time
         assert t_pcf <= t_dcf <= t_rts
 
 
 def test_results_are_deterministic_across_runs():
     plan = fragment(123_457, 512)
-    a = simulate_dcf_rts(plan, PROFILE_11B)
-    b = simulate_dcf_rts(plan, PROFILE_11B)
+    a = simulate("dcf-rts", plan, PROFILE_11B)
+    b = simulate("dcf-rts", plan, PROFILE_11B)
     assert a.total_time == b.total_time
     assert a.per_packet_times == b.per_packet_times
     assert a.effective_throughput == b.effective_throughput
@@ -496,8 +496,8 @@ def test_results_are_deterministic_across_runs():
 def test_tftp_lockstep_ack_costs_a_reverse_exchange():
     plan = fragment(4096, 512)
     chatty = fragment(4096, 512, tftp_ack=True)
-    base = simulate_dcf(plan, PROFILE_11B)
-    acked = simulate_dcf(chatty, PROFILE_11B)
+    base = simulate("dcf", plan, PROFILE_11B)
+    acked = simulate("dcf", chatty, PROFILE_11B)
     assert acked.total_time > base.total_time
     per_ack = (acked.total_time - base.total_time) / plan.data_packet_count
     t_ack_data = frame_airtime(PROFILE_11B, 40, 11e6)

@@ -19,25 +19,21 @@ def test_per_packet_overhead_is_40_bytes():
 
 def test_fragment_splits_and_pads_msdus():
     plan = fragment(1300, 512)
-    assert plan.data_blocks == (512, 512, 276)
     assert plan.runs == ((512, 2), (276, 1))
-    assert plan.packet_payloads == (552, 552, 316)
     assert plan.data_packet_count == 3
     assert plan.total_payload_bytes == 1300
 
 
 def test_exact_multiple_gets_zero_length_terminator():
     plan = fragment(1024, 512)
-    assert plan.data_blocks == (512, 512, 0)
     assert plan.runs == ((512, 2), (0, 1))
     assert plan.data_packet_count == 3
     plan = fragment(1025, 512)
-    assert plan.data_blocks == (512, 512, 1)
+    assert plan.runs == ((512, 2), (1, 1))
 
 
 def test_single_byte_transfer():
     plan = fragment(1, 2048)
-    assert plan.data_blocks == (1,)
     assert plan.runs == ((1, 1),)
 
 
@@ -49,12 +45,13 @@ def test_reassembled_size_matches_for_random_sizes():
         size = int(rng.integers(1, 200_000))
         blocksize = int(rng.choice(BLOCKSIZES))
         plan = fragment(size, blocksize)
-        assert sum(plan.data_blocks) == size
+        assert sum(block * count for block, count in plan.runs) == size
         full, rem = divmod(size, blocksize)
         expected = full + 1  # final short block, or the zero-length terminator
         assert plan.data_packet_count == expected
-        assert all(b == blocksize for b in plan.data_blocks[:-1])
-        assert plan.data_blocks[-1] == (rem if rem else 0)
+        assert sum(count for _, count in plan.runs) == expected
+        assert all(block == blocksize for block, _ in plan.runs[:-1])
+        assert plan.runs[-1] == (rem, 1)
 
 
 def test_unsupported_blocksize_rejected():
@@ -75,7 +72,7 @@ def test_tftp_ack_flag_counts_reverse_overhead():
     assert quiet.data_packet_count == 10
     # the ACKs are the MAC model's to time; the data blocks stay the same
     assert chatty.tftp_ack and not quiet.tftp_ack
-    assert chatty.data_blocks == quiet.data_blocks
+    assert chatty.runs == quiet.runs
 
 
 def test_required_throughput_reference_chain():

@@ -302,10 +302,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     achieved = sum(1 for p in points if p.error is None)
     print(f"{name}: {achieved}/{len(points)} rate points achieved")
 
-    stream = codec.compress(image, target_cr=args.cr, levels=args.levels)
+    # an achieved rate point at --cr already holds the container's size
+    sized = {p.target_cr: p.byte_length for p in points if p.error is None}
+    nbytes = sized.get(args.cr)
+    if nbytes is None:
+        stream = codec.compress(image, target_cr=args.cr, levels=args.levels)
+        nbytes = stream.byte_length
     frag_rows = []
     for blocksize in transport.BLOCKSIZES:
-        plan = transport.fragment(stream.byte_length, blocksize)
+        plan = transport.fragment(nbytes, blocksize)
         for scenario in macsim.SCENARIOS:
             res = macsim.simulate(scenario, plan, macsim.PROFILE_11B)
             frag_rows.append(

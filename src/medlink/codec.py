@@ -28,6 +28,11 @@ inverse transform.
 The entropy stage sees the coefficient planes as one stream (LL first,
 then detail planes, finest level to deepest). Zero runs become the token
 pair (0, run_length); any nonzero coefficient is a token by itself.
+Tokens are int32 too, from ``_tokenize`` through ``huffman_decode`` to
+``_detokenize``, and take O(tokens) memory: ``compress`` drops each
+stream after its last read (the unquantized one once quantized, the
+quantized one once tokenized), and neither token stage allocates more
+than a few bytes per token beyond the array it returns.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ DEFAULT_TARGET_CR = 20.0
 
 # mask elements whose zero runs one numpy pass finds
 _RUN_CHUNK = 1 << 18
+# elements whose nonzero values one numpy pass of the tokenizer or the
+# detokenizer moves; the pass's index array takes 8 bytes per element
+_TOKEN_CHUNK = 1 << 15
 # quantizer scale grid: 2**(k / 16) for k in [0, _SCALE_GRID_MAX]
 _SCALE_STEPS_PER_OCTAVE = 16
 _SCALE_GRID_MAX = 20 * _SCALE_STEPS_PER_OCTAVE
@@ -112,42 +120,99 @@ def _zero_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tokenize(flat: np.ndarray) -> np.ndarray:
-    """Coefficient stream -> entropy tokens.
+    """Coefficient stream -> entropy tokens, in the stream's dtype.
 
     Each zero run becomes the token pair [0, run_length]; a nonzero
-    coefficient is a token by itself.
+    coefficient is a token by itself. Beyond the zero mask, the nonzero
+    values, the tokens and a mask over their slots, it takes O(runs)
+    memory, and O(``_TOKEN_CHUNK``) for the index arrays of the gather
+    and the scatter, which run a chunk at a time.
     """
-    zero = flat == 0
-    starts, lengths = _zero_runs(zero)
-    keep = ~zero
-    keep[starts] = True
-    # the run's first zero stays; the zeros dropped before it shift its slot
-    dropped = np.cumsum(lengths - 1) - (lengths - 1)
-    return np.insert(flat[keep], starts - dropped + 1, lengths)
+    mask = flat == 0
+    starts, lengths = _zero_runs(mask)
+    np.logical_not(mask, out=mask)
+    values = np.empty(flat.size - int(lengths.sum(dtype=np.int64)), dtype=flat.dtype)
+    _take_masked(values, flat, mask)
+    del mask
+    # run j's marker slot: its start less the zeros the runs before it
+    # shed, L_i - 2 each, summed in int64
+    shed = lengths.astype(np.int64)
+    shed -= 2
+    markers = starts - np.cumsum(shed, out=shed)
+    markers += lengths
+    markers -= 2
+    del shed
+    tokens = np.empty(values.size + 2 * lengths.size, dtype=flat.dtype)
+    is_value = np.ones(tokens.size, dtype=bool)
+    is_value[markers] = False
+    tokens[markers] = 0
+    markers += 1
+    is_value[markers] = False
+    tokens[markers] = lengths
+    _put_masked(tokens, is_value, values)
+    return tokens
+
+
+def _take_masked(out: np.ndarray, source: np.ndarray, mask: np.ndarray) -> None:
+    """``out[:] = source[mask]``, a chunk of the mask at a time."""
+    done = 0
+    for lo in range(0, mask.size, _TOKEN_CHUNK):
+        at = np.flatnonzero(mask[lo : lo + _TOKEN_CHUNK])
+        np.take(source[lo : lo + _TOKEN_CHUNK], at, out=out[done : done + at.size])
+        done += at.size
+
+
+def _put_masked(out: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
+    """``out[mask] = values``, a chunk of the mask at a time."""
+    done = 0
+    for lo in range(0, mask.size, _TOKEN_CHUNK):
+        at = np.flatnonzero(mask[lo : lo + _TOKEN_CHUNK])
+        out[lo : lo + _TOKEN_CHUNK][at] = values[done : done + at.size]
+        done += at.size
 
 
 def _detokenize(tokens: np.ndarray, expected: int) -> np.ndarray:
-    """Entropy tokens -> coefficient stream; validates counts."""
-    zero_pos = np.nonzero(tokens == 0)[0]
+    """Entropy tokens -> int32 coefficient stream; validates counts.
+
+    The expanded length is checked, in int64, before anything of that
+    length is allocated. The values are then scattered into a zeroed
+    stream a chunk of ``_TOKEN_CHUNK`` tokens at a time: a token's place
+    is the int32 prefix sum of the advances before it (1 for a value,
+    the run length for a marker, 0 for its operand).
+    """
+    zero_pos = np.flatnonzero(tokens == 0)
     if zero_pos.size:
         if zero_pos[-1] + 1 >= tokens.size:
             raise DecodeError("dangling zero-run marker at end of stream")
         # adjacent zeros mean a run marker with a zero-length operand
         if np.any(np.diff(zero_pos) == 1):
             raise DecodeError("zero-run with non-positive length")
-    operand_mask = np.zeros(tokens.size, dtype=bool)
-    operand_mask[zero_pos + 1] = True
-    units = tokens[~operand_mask]
-    unit_is_run = units == 0
-    counts = np.ones(units.size, dtype=np.int64)
-    counts[unit_is_run] = tokens[zero_pos + 1]
-    if np.any(counts < 1):
+    runs = tokens[zero_pos + 1]
+    if np.any(runs < 1):
         raise DecodeError("zero-run with non-positive length")
-    total = int(counts.sum())
+    total = tokens.size - 2 * runs.size + int(runs.sum(dtype=np.int64))
     if total != expected:
         raise DecodeError(f"stream expands to {total} coefficients, expected {expected}")
-    # a run's unit is its 0 marker; container symbols fit int32
-    return np.repeat(units.astype(np.int32), counts)
+    # every prefix sum is at most ``expected``, which fits int32
+    runs = runs.astype(np.int32, copy=False)
+    flat = np.zeros(expected, dtype=np.int32)
+    placed = 0  # the stream position of the chunk's first token
+    for lo in range(0, tokens.size, _TOKEN_CHUNK):
+        chunk = tokens[lo : lo + _TOKEN_CHUNK]
+        hi = lo + chunk.size
+        # the operands (one past a marker) and the markers in this chunk
+        bounds = np.searchsorted(zero_pos, [lo - 1, lo, hi - 1, hi]).tolist()
+        op_lo, run_lo, op_hi, run_hi = bounds
+        is_value = chunk != 0
+        is_value[zero_pos[op_lo:op_hi] + (1 - lo)] = False
+        advance = is_value.astype(np.int32)
+        advance[zero_pos[run_lo:run_hi] - lo] = runs[run_lo:run_hi]
+        np.cumsum(advance, out=advance)
+        at = np.flatnonzero(is_value)
+        # a value's place is the sum of the advances before its own 1
+        flat[advance[at] + (placed - 1)] = chunk[at]
+        placed += int(advance[-1])
+    return flat
 
 
 def _value_table(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +222,10 @@ def _value_table(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarr
     lo = int(values.min())
     span = int(values.max()) - lo + 1
     if span <= 16 * values.size + 1024:
-        counts = np.bincount(values - lo, weights=weights, minlength=span)
+        # straight into intp, so that bincount makes no copy of its own
+        index = np.subtract(values, lo, dtype=np.intp)
+        counts = np.bincount(index, weights=weights, minlength=span)
+        del index
         present = np.flatnonzero(counts)
         return (present + lo).astype(values.dtype), counts[present].astype(np.int64)
     distinct, inverse = np.unique(values, return_inverse=True)
@@ -235,15 +303,18 @@ class _ProbeSizer:
         return entropy_bits + 8 * header_size(config.levels, symbols)
 
 
-def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> tuple[CompressedBitstream, int]:
-    """The container of ``pyramid`` under ``config``, and its size in bits."""
-    tokens = _tokenize(quantize(pyramid, config).coefficients)
+def _encode(
+    tokens: np.ndarray, geometry: tuple[int, int, int], config: QuantizerConfig
+) -> tuple[CompressedBitstream, int]:
+    """The container of ``tokens`` of an image of ``geometry`` (width,
+    height, bit depth) quantized under ``config``, and its size in bits."""
     code = huffman_build(*_value_table(tokens))
     payload, payload_bits = huffman_encode(tokens, code)
+    width, height, bit_depth = geometry
     header = pack_header(
-        pyramid.width,
-        pyramid.height,
-        pyramid.bit_depth,
+        width,
+        height,
+        bit_depth,
         config.levels,
         config.steps,
         code.symbols,
@@ -251,9 +322,9 @@ def _encode(pyramid: SubbandPyramid, config: QuantizerConfig) -> tuple[Compresse
         payload_bits,
     )
     stream = CompressedBitstream(
-        width=pyramid.width,
-        height=pyramid.height,
-        bit_depth=pyramid.bit_depth,
+        width=width,
+        height=height,
+        bit_depth=bit_depth,
         levels=config.levels,
         steps=config.steps,
         symbols=code.symbols,
@@ -345,11 +416,19 @@ def compress(
             f"{image.width}x{image.height} image exceeds {MAX_SAMPLES} samples"
         )
     pyramid = dwt_forward(image, levels)
+    priced = None
     if lossless:
-        return _encode(pyramid, _grid_config(0, levels))[0]
-    config, total_bits, payload_bits = _rate_search(pyramid, image.total_bits, target_cr)
-    stream, bits = _encode(pyramid, config)
-    if (bits, stream.payload_bit_length) != (total_bits, payload_bits):
+        config = _grid_config(0, levels)
+    else:
+        config, *priced = _rate_search(pyramid, image.total_bits, target_cr)
+    # each stream dies once read: the unquantized one here, the quantized
+    # one before the code is built
+    pyramid = quantize(pyramid, config)
+    geometry = (pyramid.width, pyramid.height, pyramid.bit_depth)
+    tokens = _tokenize(pyramid.coefficients)
+    del pyramid
+    stream, bits = _encode(tokens, geometry, config)
+    if priced is not None and [bits, stream.payload_bit_length] != priced:
         raise CodecError("size accounting mismatch during encode")
     return stream
 

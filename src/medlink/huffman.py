@@ -61,7 +61,9 @@ ends: on a position with no codeword, or at or past ``bit_length``,
 which is where the walk alone would stop, so errors and their offsets
 come from that one position and the start before it. The symbols follow
 from the windows at the starts alone: index ``base + code - first`` in
-(length, symbol) order.
+(length, symbol) order, gathered ``_GATHER_STARTS`` starts at a time into
+one array. That array is int32 when every symbol of the code lies in
+int32, as every container's does, and int64 otherwise.
 
 Code lengths are capped at ``MAX_CODE_LENGTH`` = 57 bits, the widest
 window an 8-byte word holds after a shift of up to 7 bits. No encoder
@@ -114,6 +116,9 @@ _LANE_SYNC_FACTOR = 16
 _LANE_ROWS = 32
 # overrun steps searched for a meeting point in the first, vectorized pass
 _MEET_ROWS = 32
+# codeword starts whose symbols one numpy pass of the decoder gathers
+_GATHER_STARTS = 1 << 16
+_INT32 = np.iinfo(np.int32)
 
 
 class HuffmanError(ValueError):
@@ -132,8 +137,9 @@ class HuffmanCode:
     """A canonical prefix code, constructed from its code table: the
     symbols, strictly ascending, and their code lengths. It keeps them as
     ``symbols`` (int64) and ``lengths`` (uint8), and builds its per-length
-    tables here, once. The encoder's table is derived from them on first
-    use, so a decoder never builds it."""
+    tables here, once, with the symbols in (length, symbol) order in the
+    decoder's output dtype. The encoder's table is derived from them on
+    first use, so a decoder never builds it."""
 
     def __init__(self, symbols, lengths):
         self.symbols = symbols = np.asarray(symbols, dtype=np.int64)
@@ -167,7 +173,9 @@ class HuffmanCode:
         self._offset = np.array(base, dtype=np.uint64) - np.array(first, dtype=np.uint64)
         # a stable sort of symbol order by length: (length, symbol)
         self._order = np.argsort(self.lengths, kind="stable")
-        self._ordered = symbols[self._order]
+        # the decoder's output dtype: int32 where every symbol fits
+        fits = _INT32.min <= symbols[0] and symbols[-1] <= _INT32.max
+        self._ordered = symbols[self._order].astype(np.int32 if fits else np.int64)
         self._counts = counts
         self._gcd = math.gcd(*np.flatnonzero(counts).tolist())
 
@@ -325,7 +333,8 @@ def _pack(
 
 
 def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarray:
-    """Decode ``bit_length`` bits of payload back into an int64 symbol array.
+    """Decode ``bit_length`` bits of payload back into a symbol array:
+    int32 when every symbol of ``code`` lies in int32, else int64.
 
     Raises HuffmanDecodeError (with the bit offset of the offending
     codeword) when the bits do not parse: "no codeword matches" when more
@@ -336,7 +345,7 @@ def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarra
     if bit_length < 0 or bit_length > len(data) * 8:
         raise HuffmanDecodeError("bit length exceeds payload", len(data) * 8)
     if bit_length == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=code._ordered.dtype)
     longest = code.max_length
     padded = bytes(data) + bytes(8)
     lengths = _codeword_lengths(padded, bit_length, code)
@@ -353,14 +362,18 @@ def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarra
         )
     if end > bit_length:
         raise HuffmanDecodeError("truncated codeword", int(starts[-1]))
-    width = np.frombuffer(lengths, dtype=np.uint8)[starts]
-    # in place, so that the gathered words are the one 8-byte array per symbol
-    codes = _byte_words(padded, ">u8")[starts >> 3]
-    codes <<= (starts & 7).astype(np.uint8)
-    del starts
-    codes >>= 64 - width
-    codes += code._offset[width]
-    return code._ordered[codes]
+    view = np.frombuffer(lengths, dtype=np.uint8)
+    words = _byte_words(padded, ">u8")
+    symbols = np.empty(starts.size, dtype=code._ordered.dtype)
+    for lo in range(0, starts.size, _GATHER_STARTS):
+        at = starts[lo : lo + _GATHER_STARTS]
+        width = view[at]
+        codes = words[at >> 3]
+        codes <<= (at & 7).astype(np.uint8)
+        codes >>= 64 - width
+        codes += code._offset[width]
+        symbols[lo : lo + at.size] = code._ordered[codes]
+    return symbols
 
 
 def _byte_words(padded: bytes, dtype: str) -> np.ndarray:

@@ -10,7 +10,7 @@ for modalities that occupy a fraction of their container range.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,13 +121,15 @@ def quality_report(original: GrayImage, reconstructed: GrayImage, compressed_bit
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One target ratio in a rate-distortion sweep."""
+    """One target ratio in a rate-distortion sweep. ``byte_length``, the
+    container size of an achieved point, is not a CSV column."""
 
     target_cr: float
     achieved_cr: float | None = None
     mse: float | None = None
     psnr_db: float | None = None
     error: str | None = None
+    byte_length: int | None = None
 
     CSV_HEADER = "target_cr,achieved_cr,mse,psnr_db,error"
 
@@ -139,7 +141,8 @@ class RatePoint:
                 return '"' + text.replace('"', '""') + '"'
             return text
 
-        return ",".join(cell(v) for v in astuple(self))
+        columns = (self.target_cr, self.achieved_cr, self.mse, self.psnr_db, self.error)
+        return ",".join(cell(v) for v in columns)
 
 
 def check_rate_points(points) -> list[float]:
@@ -184,12 +187,14 @@ def rate_distortion_sweep(
             )
         previous_steps = stream.steps
         recon = decompress(stream)
+        nbytes = stream.byte_length
         points.append(
             RatePoint(
                 target_cr=target,
-                achieved_cr=compression_ratio(image.total_bits, stream.bit_length),
+                achieved_cr=compression_ratio(image.total_bits, 8 * nbytes),
                 mse=mse(image, recon),
                 psnr_db=psnr(image, recon),
+                byte_length=nbytes,
             )
         )
     return points

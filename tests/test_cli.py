@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import medlink
+from medlink import codec, metrics
 from medlink.cli import main
+from medlink.codec import compress
 from medlink.image_io import load_pgm
 from medlink.synth import synth_image
 
@@ -443,6 +445,29 @@ def test_sweep_quotes_an_error_that_holds_a_comma(tmp_path):
     assert achieved["error"] == "" and float(achieved["achieved_cr"]) >= 2.0
     assert unreachable["achieved_cr"] == ""
     assert unreachable["error"].startswith("target ratio 100000 unreachable, best ")
+
+
+def test_sweep_compresses_once_per_target(tmp_path, monkeypatch):
+    targets = []
+
+    def counting(image, target_cr, **options):
+        targets.append(target_cr)
+        return compress(image, target_cr, **options)
+
+    # the sweep compresses through metrics, the fragmentation table directly
+    monkeypatch.setattr(codec, "compress", counting)
+    monkeypatch.setattr(metrics, "compress", counting)
+    base = ["sweep", "--input", "synth:blobs:256x256x16:seed=1", "--out", str(tmp_path)]
+    # --cr is an achieved rate point: its container size is reused
+    frag = tmp_path / "blobs-256x256-s1_frag.csv"
+    assert main([*base, "--cr-points", "10,20", "--cr", "20"]) == 0
+    assert targets == [10.0, 20.0]
+    reused = frag.read_bytes()
+    # --cr is not a rate point: it is compressed on its own, to the same size
+    targets.clear()
+    assert main([*base, "--cr-points", "10", "--cr", "20"]) == 0
+    assert targets == [10.0, 20.0]
+    assert frag.read_bytes() == reused
 
 
 # sha256 of reference outputs: a change to either is a change in the

@@ -318,11 +318,18 @@ def test_decoder_matches_reference_on_random_codes():
 
 def _check_random_codes():
     rng = np.random.default_rng(41)
-    for code in _random_codes(rng):
+    # symbols at both ends of int32, and one past it
+    int32_edges = [
+        HuffmanCode([-(2**31), 5, 2**31 - 1], [1, 2, 2]),
+        HuffmanCode([-3, 5, 2**31], [1, 2, 2]),
+    ]
+    for code in itertools.chain(_random_codes(rng), int32_edges):
         symbols = rng.choice(code.symbols, size=int(rng.integers(1, 400)))
         payload, nbits = huffman_encode(symbols, code)
         decoded = huffman_decode(payload, nbits, code)
-        assert decoded.dtype == np.int64
+        # int32 when every symbol of the code fits it
+        fits = -(2**31) <= code.symbols[0] and code.symbols[-1] < 2**31
+        assert decoded.dtype == (np.int32 if fits else np.int64)
         assert decoded.tolist() == symbols.tolist()
         assert _assert_decodes_like_reference(payload, nbits, code) == symbols.tolist()
         # random bits hit dead starts and cut codewords in incomplete codes

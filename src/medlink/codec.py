@@ -14,11 +14,12 @@ container (Shannon's source-coding bound), and a probe whose bound
 already misses the ratio fails there. Any other probe is sized exactly:
 the dead-zone quantizer zeroes exactly the coefficients with |c| < step,
 so one magnitude compare per plane gives the zero mask and its runs, and
-symbol counts, the Huffman code lengths, the payload bits
-(``lengths @ counts``) and the header bytes (counted in numpy by
-``bitstream.header_size``) follow. No quantized plane, token array,
+the token counts, the payload bits (the merged weights of a Huffman
+merge, ``huffman.payload_bits``) and the header bytes (counted in numpy
+by ``bitstream.header_size``) follow. No quantized plane, token array,
 Huffman code, header or payload exists until the chosen config is
-encoded, once per ``compress``. ``decompress`` inverts the whole chain;
+encoded, once per ``compress``, with a code built from the counts its
+probe found. ``decompress`` inverts the whole chain;
 with all quantizer steps at 1 the round trip is bit-exact. Coefficients
 travel as int32 from ``dwt_forward`` to the inverse; the decoder clamps
 dequantized values to ``dwt.COEFFICIENT_BOUND``, which no coefficient of
@@ -39,15 +40,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._split import split
 from .bitstream import CompressedBitstream, header_size, pack_header
 from .dwt import SubbandPyramid, dwt_forward, dwt_inverse
 from .huffman import (
     HuffmanCode,
     HuffmanError,
-    code_lengths,
     huffman_build,
     huffman_decode,
     huffman_encode,
+    payload_bits,
 )
 from .image_io import MAX_SAMPLES, GrayImage
 from .quantize import QuantizerConfig, _quantize_plane, dequantize, quantize
@@ -97,26 +99,31 @@ class DecodeError(CodecError):
 def _zero_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and length (int32) of every run of True in ``mask``.
 
-    The runs are found a chunk of ``_RUN_CHUNK`` elements at a time, so
-    that no temporary is the size of the mask. A chunk's edges alternate
-    between run starts and ends, once the start of a run still open at
-    the previous chunk's end is put in front of them.
+    The run edges are found a chunk of ``_RUN_CHUNK`` elements at a time,
+    so that no temporary is the size of the mask. A chunk's edges depend
+    only on the element before it, so the chunks are split between
+    threads; together the edges alternate between run starts and ends,
+    once the end of a run still open at the end of the mask is put after
+    them.
     """
-    starts, lengths = [], []
-    pending = np.empty(0, dtype=np.int32)
-    for lo in range(0, mask.size, _RUN_CHUNK):
-        chunk = mask[lo : lo + _RUN_CHUNK]
-        edges = np.flatnonzero(np.diff(chunk, prepend=pending.size > 0)).astype(np.int32)
-        edges += np.int32(lo)
-        if pending.size:
-            edges = np.concatenate([pending, edges])
-        paired = edges.size & ~1
-        starts.append(edges[:paired:2])
-        lengths.append(edges[1:paired:2] - starts[-1])
-        pending = edges[paired:]
-    starts.append(pending)
-    lengths.append(np.int32(mask.size) - pending)
-    return np.concatenate(starts), np.concatenate(lengths)
+    chunks = range(0, mask.size, _RUN_CHUNK)
+
+    def edges(first: int, last: int) -> list[np.ndarray]:
+        found = []
+        for lo in chunks[first:last]:
+            chunk = mask[lo : lo + _RUN_CHUNK]
+            edge = np.flatnonzero(np.diff(chunk, prepend=lo > 0 and mask[lo - 1]))
+            found.append(edge.astype(np.int32))
+            found[-1] += np.int32(lo)
+        return found
+
+    parts = [part for half in split(edges, len(chunks), mask.size) for part in half]
+    if sum(part.size for part in parts) % 2:
+        parts.append(np.array([mask.size], dtype=np.int32))
+    found = np.concatenate([np.empty(0, dtype=np.int32), *parts])
+    del parts
+    starts = found[0::2]
+    return starts, found[1::2] - starts
 
 
 def _tokenize(flat: np.ndarray) -> np.ndarray:
@@ -141,7 +148,7 @@ def _tokenize(flat: np.ndarray) -> np.ndarray:
     markers = starts - np.cumsum(shed, out=shed)
     markers += lengths
     markers -= 2
-    del shed
+    del starts, shed
     tokens = np.empty(values.size + 2 * lengths.size, dtype=flat.dtype)
     is_value = np.ones(tokens.size, dtype=bool)
     is_value[markers] = False
@@ -246,9 +253,18 @@ class _ProbeSizer:
 
     def __init__(self, pyramid: SubbandPyramid):
         planes = pyramid.plane_arrays()
-        self.tables = [_value_table(plane.ravel()) for plane in planes]
-        self.bounds = np.cumsum([0] + [plane.size for plane in planes]).tolist()
-        self.magnitudes = np.abs(pyramid.coefficients)
+        self.bounds = bounds = pyramid.plane_bounds()
+        # the planes split where the stream does, so each thread tables half
+        tables = split(
+            lambda lo, hi: [_value_table(plane.ravel()) for plane in planes[lo:hi]],
+            len(planes),
+            bounds[-1],
+            int(np.searchsorted(bounds, bounds[-1] // 2)),
+        )
+        self.tables = [table for half in tables for table in half]
+        stream = pyramid.coefficients
+        self.magnitudes = np.empty_like(stream)
+        split(lambda lo, hi: np.abs(stream[lo:hi], out=self.magnitudes[lo:hi]), stream.size)
 
     def nonzero(self, config: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
         """The stream's nonzero quantizer indices in ascending order, with
@@ -271,8 +287,14 @@ class _ProbeSizer:
         is ``self.nonzero(config)`` when the caller has it."""
         symbols, counts = self.nonzero(config) if nonzero is None else nonzero
         zero = np.empty(self.magnitudes.size, dtype=bool)
-        for step, lo, hi in zip(config.steps, self.bounds, self.bounds[1:]):
-            np.less(self.magnitudes[lo:hi], step, out=zero[lo:hi])
+
+        def compare(lo: int, hi: int):
+            # each plane's part of [lo, hi)
+            for step, start, end in zip(config.steps, self.bounds, self.bounds[1:]):
+                start, end = max(start, lo), min(end, hi)
+                np.less(self.magnitudes[start:end], step, out=zero[start:end])
+
+        split(compare, zero.size)
         run_lengths = _zero_runs(zero)[1]  # frees the run starts here
         if not run_lengths.size:
             return symbols, counts
@@ -284,13 +306,13 @@ class _ProbeSizer:
             np.concatenate([counts, runs, [run_lengths.size]]),
         )
 
-    def size(self, config: QuantizerConfig, nonzero=None) -> tuple[int, int]:
-        """(total container bits, payload bits) under ``config``."""
-        symbols, counts = self.frequencies(config, nonzero)
-        lengths = code_lengths(counts)
-        payload_bits = int(lengths @ counts)
-        header = header_size(config.levels, symbols)
-        return (header + (payload_bits + 7) // 8) * 8, payload_bits
+    def size(self, config: QuantizerConfig, nonzero=None) -> tuple[int, int, tuple]:
+        """(total container bits, payload bits, ``frequencies(config)``)
+        under ``config``."""
+        table = self.frequencies(config, nonzero)
+        payload = payload_bits(table[1])
+        header = header_size(config.levels, table[0])
+        return (header + (payload + 7) // 8) * 8, payload, table
 
     def bound(self, config: QuantizerConfig, nonzero=None) -> float:
         """A lower bound on the total container bits under ``config``,
@@ -304,11 +326,12 @@ class _ProbeSizer:
 
 
 def _encode(
-    tokens: np.ndarray, geometry: tuple[int, int, int], config: QuantizerConfig
+    tokens: np.ndarray, geometry: tuple[int, int, int], config: QuantizerConfig, table=None
 ) -> tuple[CompressedBitstream, int]:
     """The container of ``tokens`` of an image of ``geometry`` (width,
-    height, bit depth) quantized under ``config``, and its size in bits."""
-    code = huffman_build(*_value_table(tokens))
+    height, bit depth) quantized under ``config``, and its size in bits.
+    ``table`` is ``_value_table(tokens)`` when the caller has it."""
+    code = huffman_build(*(_value_table(tokens) if table is None else table))
     payload, payload_bits = huffman_encode(tokens, code)
     width, height, bit_depth = geometry
     header = pack_header(
@@ -342,7 +365,7 @@ def _grid_config(k: int, levels: int) -> QuantizerConfig:
 
 def _rate_search(
     pyramid: SubbandPyramid, raw_bits: int, target_cr: float
-) -> tuple[QuantizerConfig, int, int]:
+) -> tuple[QuantizerConfig, int, int, tuple[np.ndarray, np.ndarray]]:
     """A grid point k whose container reaches ``target_cr``, where k = 0
     or point k - 1 does not reach it.
 
@@ -352,27 +375,37 @@ def _rate_search(
     not: on a 256x256 ramp at target 113.8 the search returns k = 164,
     while 159, 161 and 162 pass. A bisection probe whose lower bound
     (``_ProbeSizer.bound``) already exceeds ``raw_bits / target_cr``
-    fails without its zero-run scan, code lengths or header; the coarsest
+    fails without its zero-run scan, payload or header; the coarsest
     probe is always sized, since its ratio is what RateControlError
     reports.
-    Returns the chosen config with its container bits and payload bits.
+    Returns the chosen config with its container bits, payload bits and
+    token table (``_ProbeSizer.frequencies``).
     """
     sizer = _ProbeSizer(pyramid)
     budget = raw_bits / target_cr
     coarsest = _grid_config(_SCALE_GRID_MAX, pyramid.levels)
+    total, payload, table = sizer.size(coarsest)
+    if raw_bits / total < target_cr:
+        raise RateControlError(target_cr, raw_bits / total)
     # steps -> (total bits, payload bits), or None where the bound failed
-    sizes = {coarsest.steps: sizer.size(coarsest)}
-    coarsest_cr = raw_bits / sizes[coarsest.steps][0]
-    if coarsest_cr < target_cr:
-        raise RateControlError(target_cr, coarsest_cr)
+    sizes = {coarsest.steps: (total, payload)}
 
     def passes(k: int) -> bool:
+        # ``table`` is that of the last point sized that passed, which
+        # bisection keeps as hi; a point that passes from the cache has
+        # hi's steps, since the steps grow with k
+        nonlocal table
         config = _grid_config(k, pyramid.levels)
         if config.steps not in sizes:
             nonzero = sizer.nonzero(config)
             # the margin absorbs float rounding in the bound's entropy
-            hopeless = sizer.bound(config, nonzero) > budget * (1 + 1e-9)
-            sizes[config.steps] = None if hopeless else sizer.size(config, nonzero)
+            if sizer.bound(config, nonzero) > budget * (1 + 1e-9):
+                sizes[config.steps] = None
+            else:
+                total, payload, probed = sizer.size(config, nonzero)
+                sizes[config.steps] = (total, payload)
+                if raw_bits / total >= target_cr:
+                    table = probed
         size = sizes[config.steps]
         return size is not None and raw_bits / size[0] >= target_cr
 
@@ -384,7 +417,7 @@ def _rate_search(
         else:
             lo = mid + 1
     config = _grid_config(lo, pyramid.levels)
-    return (config, *sizes[config.steps])
+    return (config, *sizes[config.steps], table)
 
 
 def compress(
@@ -416,18 +449,18 @@ def compress(
             f"{image.width}x{image.height} image exceeds {MAX_SAMPLES} samples"
         )
     pyramid = dwt_forward(image, levels)
-    priced = None
+    priced = table = None
     if lossless:
         config = _grid_config(0, levels)
     else:
-        config, *priced = _rate_search(pyramid, image.total_bits, target_cr)
+        config, *priced, table = _rate_search(pyramid, image.total_bits, target_cr)
     # each stream dies once read: the unquantized one here, the quantized
     # one before the code is built
     pyramid = quantize(pyramid, config)
     geometry = (pyramid.width, pyramid.height, pyramid.bit_depth)
     tokens = _tokenize(pyramid.coefficients)
     del pyramid
-    stream, bits = _encode(tokens, geometry, config)
+    stream, bits = _encode(tokens, geometry, config, table)
     if priced is not None and [bits, stream.payload_bit_length] != priced:
         raise CodecError("size accounting mismatch during encode")
     return stream

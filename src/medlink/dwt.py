@@ -10,6 +10,13 @@ quantization the inverse clamps reconstructed samples to the image's range.
 Odd extents split as ceil(n/2) low / floor(n/2) high samples per axis. A
 level lifts rows (through the transposed view), then columns, producing
 four row-major quadrants; the low-low quadrant feeds the next level.
+Every band is lifted in place in its own output, the forward detail
+bands in their planes of the stream. On a level of ``_split.SPLIT_MIN``
+samples or more, two threads share each pass: the row pass splits along
+the rows, the axis outer in memory (splitting along the inner axis of a
+contiguous array gains nothing), and the two column passes, of the low
+and of the high half, run one on each thread. Each writes its own slice
+or band, so the coefficients do not depend on the split.
 One geometry check, 1 <= levels and 2**levels <= min(width, height), so
 every lifted extent has two samples; ``dwt_forward`` makes it before it
 copies the image, ``SubbandPyramid`` on construction.
@@ -50,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._split import split
 from .image_io import GrayImage
 
 __all__ = [
@@ -100,6 +108,11 @@ class SubbandPyramid:
             start = end
         return planes
 
+    def plane_bounds(self) -> list[int]:
+        """The stream offset where each plane starts, in stream order, and
+        the stream's length."""
+        return np.cumsum([0] + [plane.size for plane in self.plane_arrays()]).tolist()
+
 
 def _check_levels(levels: int, width: int, height: int):
     if levels < 1:
@@ -141,32 +154,33 @@ def _neighbour_sums(x: np.ndarray, lead: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _analyze(x: np.ndarray):
-    """One 5/3 lifting step along axis 0: returns (low, high).
+def _analyze(x: np.ndarray, low: np.ndarray, high: np.ndarray):
+    """One 5/3 lifting step along axis 0 of ``x``, into ``low`` and ``high``.
 
     high[k] = x[2k+1] - floor((x[2k] + x[2k+2]) / 2)
     low[k]  = x[2k]   + floor((high[k-1] + high[k] + 2) / 4)
 
-    Each band is built in place in its own array, keeping ``x``'s layout.
+    Each band is built in place in its output.
     """
     even, odd = x[0::2], x[1::2]
-    high = _neighbour_sums(even, 0, np.empty_like(odd))
+    _neighbour_sums(even, 0, high)
     high //= 2
     np.subtract(odd, high, out=high)
-    low = _neighbour_sums(high, 1, np.empty_like(even))
+    _neighbour_sums(high, 1, low)
     low += 2
     low //= 4
     low += even
-    return low, high
 
 
-def _synthesize(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+def _synthesize(low: np.ndarray, high: np.ndarray, out: np.ndarray | None = None):
     """Invert ``_analyze``: its two steps in reverse order, signs flipped.
+    Returns ``out``, a new array laid out like ``low`` where not given.
 
     Both steps share one buffer of neighbour sums, laid out like ``low``;
     the samples are interleaved only as each step writes its output.
     """
-    out = np.empty_like(low, shape=(low.shape[0] + high.shape[0], *low.shape[1:]))
+    if out is None:
+        out = np.empty_like(low, shape=(low.shape[0] + high.shape[0], *low.shape[1:]))
     even, odd = out[0::2], out[1::2]
     sums = _neighbour_sums(high, 1, np.empty_like(low))
     sums += 2
@@ -176,6 +190,23 @@ def _synthesize(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     sums //= 2
     np.add(high, sums, out=odd)
     return out
+
+
+def _rows(lift, *arrays: np.ndarray):
+    """``lift`` (``_analyze`` or ``_synthesize``) along the rows of C-ordered
+    ``arrays``, which share their row count, through their transposed
+    views; split between threads along the rows, the axis outer in memory,
+    so that each thread works on whole, contiguous rows."""
+    size = sum(a.size for a in arrays) // 2  # the samples of the level
+    split(lambda lo, hi: lift(*(a[lo:hi].T for a in arrays)), arrays[0].shape[0], size)
+
+
+def _columns(lift, size: int, first: tuple, second: tuple) -> list:
+    """``[lift(*first), lift(*second)]``, the two column passes of a level
+    of ``size`` samples, on two threads."""
+    tasks = (first, second)
+    halves = split(lambda lo, hi: [lift(*task) for task in tasks[lo:hi]], 2, size)
+    return [result for half in halves for result in half]
 
 
 def dwt_forward(image: GrayImage, levels: int) -> SubbandPyramid:
@@ -189,10 +220,15 @@ def dwt_forward(image: GrayImage, levels: int) -> SubbandPyramid:
     cur = stream.reshape(image.height, image.width)
     for level in range(levels):
         hl, lh, hh = details[3 * level : 3 * level + 3]
-        low, high = (b.T for b in _analyze(cur.T))  # rows: left/right halves
-        # columns; each detail band goes into its plane as it is made
-        cur, lh[...] = _analyze(low)
-        hl[...], hh[...] = _analyze(high)
+        rows, cols = cur.shape
+        # rows: left/right halves
+        low = np.empty((rows, (cols + 1) // 2), dtype=np.int32)
+        high = np.empty((rows, cols // 2), dtype=np.int32)
+        _rows(_analyze, cur, low, high)
+        # columns; the detail bands are lifted in their planes
+        cur = np.empty((rows - lh.shape[0], low.shape[1]), dtype=np.int32)
+        _columns(_analyze, rows * cols, (low, cur, lh), (high, hl, hh))
+        del low, high
     ll[...] = cur
     return pyramid
 
@@ -207,9 +243,11 @@ def dwt_inverse(pyramid: SubbandPyramid) -> GrayImage:
     cur, *details = pyramid.plane_arrays()
     for level in reversed(range(pyramid.levels)):
         hl, lh, hh = details[3 * level : 3 * level + 3]
-        low = _synthesize(cur, lh)
-        high = _synthesize(hl, hh)
-        cur = _synthesize(low.T, high.T).T
+        size = cur.size + hl.size + lh.size + hh.size
+        low, high = _columns(_synthesize, size, (cur, lh), (hl, hh))
+        cur = np.empty_like(low, shape=(low.shape[0], low.shape[1] + high.shape[1]))
+        _rows(_synthesize, low, high, cur)
+        del low, high
     np.clip(cur, 0, (1 << pyramid.bit_depth) - 1, out=cur)
     return GrayImage(
         width=pyramid.width,

@@ -1,9 +1,10 @@
 """Canonical Huffman coding over integer symbol alphabets.
 
 ``code_lengths`` is the one length builder, a two-queue merge (van
-Leeuwen, "On the construction of Huffman trees", ICALP 1976): rate-control
-probes price a code as ``lengths @ counts`` from it alone, and
-``huffman_build`` turns its lengths into a code. Codewords are assigned
+Leeuwen, "On the construction of Huffman trees", ICALP 1976), and
+``huffman_build`` turns its lengths into a code. Rate-control probes need
+only a payload's size, ``lengths @ counts``, which ``payload_bits`` sums
+from the same merge's weights without the lengths. Codewords are assigned
 canonically, in (length, symbol) order, so a code is fully described by
 its code table: the symbols, strictly ascending, and their lengths, two
 arrays from the token counts to the bitstream container and back. A
@@ -40,7 +41,8 @@ canonical order. T is ``min(L, 12)``, or ``min(L, 18)`` for a code with
 more than 1/32 of its code space in codewords longer than 12 bits, which
 would send that share of the windows to the search (``_table_bits``).
 This runs in chunks of ``_CHUNK_BITS`` positions to bound the
-temporaries.
+temporaries; each chunk writes only its own positions, so on payloads of
+``_split.SPLIT_MIN`` bits or more two threads take half the chunks each.
 
 The lengths chain the codeword starts: each start plus its length is the
 next. A payload shorter than ``_LANE_MIN_BITS`` is walked with one
@@ -62,8 +64,10 @@ which is where the walk alone would stop, so errors and their offsets
 come from that one position and the start before it. The symbols follow
 from the windows at the starts alone: index ``base + code - first`` in
 (length, symbol) order, gathered ``_GATHER_STARTS`` starts at a time into
-one array. That array is int32 when every symbol of the code lies in
-int32, as every container's does, and int64 otherwise.
+one array, half the gathers on each of two threads where there are
+``_split.SPLIT_MIN`` starts or more. That array is int32 when every
+symbol of the code lies in int32, as every container's does, and int64
+otherwise.
 
 Code lengths are capped at ``MAX_CODE_LENGTH`` = 57 bits, the widest
 window an 8-byte word holds after a shift of up to 7 bits. No encoder
@@ -80,12 +84,15 @@ from functools import cached_property
 
 import numpy as np
 
+from ._split import split
+
 __all__ = [
     "MAX_CODE_LENGTH",
     "HuffmanCode",
     "HuffmanError",
     "HuffmanDecodeError",
     "code_lengths",
+    "payload_bits",
     "huffman_build",
     "huffman_encode",
     "huffman_decode",
@@ -259,6 +266,44 @@ def code_lengths(counts) -> np.ndarray:
     return lengths
 
 
+def payload_bits(counts) -> int:
+    """The payload bits of a Huffman code for positive ``counts``, equal to
+    ``code_lengths(counts) @ counts``, from a merge of the weights alone.
+
+    A leaf at depth d adds its count to the weight of each of the d merged
+    nodes above it, so the merged weights sum to the payload. Every Huffman
+    tree has that same minimal sum, whichever way its ties fall, so the two
+    queues need no tie rule, parents or depths. A single symbol gets a
+    1-bit codeword, so its payload is its count.
+    """
+    counts = np.asarray(counts)
+    if counts.size == 0:
+        raise HuffmanError("empty alphabet")
+    if not counts.min() > 0:
+        raise HuffmanError("symbol counts must be positive")
+    leaves = np.sort(counts).tolist()
+    if len(leaves) == 1:
+        return leaves[0]
+    leaves.append(math.inf)
+    merged = [math.inf] * len(leaves)
+    leaf = node = 0
+    for m in range(len(leaves) - 2):
+        a, b = leaves[leaf], merged[node]
+        if a <= b:
+            leaf += 1
+        else:
+            a = b
+            node += 1
+        b, c = leaves[leaf], merged[node]
+        if b <= c:
+            leaf += 1
+        else:
+            b = c
+            node += 1
+        merged[m] = a + b
+    return sum(merged[: len(leaves) - 2])
+
+
 def huffman_build(symbols, counts) -> HuffmanCode:
     """Build a canonical code over ``symbols``, strictly ascending, from
     their positive ``counts``."""
@@ -365,14 +410,19 @@ def huffman_decode(data: bytes, bit_length: int, code: HuffmanCode) -> np.ndarra
     view = np.frombuffer(lengths, dtype=np.uint8)
     words = _byte_words(padded, ">u8")
     symbols = np.empty(starts.size, dtype=code._ordered.dtype)
-    for lo in range(0, starts.size, _GATHER_STARTS):
-        at = starts[lo : lo + _GATHER_STARTS]
-        width = view[at]
-        codes = words[at >> 3]
-        codes <<= (at & 7).astype(np.uint8)
-        codes >>= 64 - width
-        codes += code._offset[width]
-        symbols[lo : lo + at.size] = code._ordered[codes]
+    chunks = range(0, starts.size, _GATHER_STARTS)
+
+    def gather(first: int, last: int):
+        for lo in chunks[first:last]:
+            at = starts[lo : lo + _GATHER_STARTS]
+            width = view[at]
+            codes = words[at >> 3]
+            codes <<= (at & 7).astype(np.uint8)
+            codes >>= 64 - width
+            codes += code._offset[width]
+            symbols[lo : lo + at.size] = code._ordered[codes]
+
+    split(gather, len(chunks), starts.size)
     return symbols
 
 
@@ -404,18 +454,23 @@ def _codeword_lengths(padded: bytes, bit_length: int, code: HuffmanCode) -> byte
     words = _byte_words(padded, ">u8")
     lengths = bytearray(bit_length + longest)
     lengths_view = np.frombuffer(lengths, dtype=np.uint8)
-    for lo in range(0, bit_length, _CHUNK_BITS):
-        hi = min(lo + _CHUNK_BITS, bit_length)
-        chunk = quads[lo >> 3 : (hi + 7) >> 3, None].astype(np.uint32)
-        windows = (chunk << _BYTE_SHIFTS).ravel()[: hi - lo]
-        windows >>= np.uint32(32 - top)
-        lengths_view[lo:hi] = table[windows]
-        if top < longest:
-            at = np.flatnonzero(windows >= short).astype(np.uint64)
-            at += np.uint64(lo)
-            full = np.left_shift(words[at >> np.uint64(3)], at & np.uint64(7))
-            full >>= np.uint64(64 - longest)
-            lengths_view[at] = length_at[np.searchsorted(limits, full, "right")]
+    chunks = range(0, bit_length, _CHUNK_BITS)
+
+    def fill(first: int, last: int):
+        for lo in chunks[first:last]:
+            hi = min(lo + _CHUNK_BITS, bit_length)
+            chunk = quads[lo >> 3 : (hi + 7) >> 3, None].astype(np.uint32)
+            windows = (chunk << _BYTE_SHIFTS).ravel()[: hi - lo]
+            windows >>= np.uint32(32 - top)
+            lengths_view[lo:hi] = table[windows]
+            if top < longest:
+                at = np.flatnonzero(windows >= short).astype(np.uint64)
+                at += np.uint64(lo)
+                full = np.left_shift(words[at >> np.uint64(3)], at & np.uint64(7))
+                full >>= np.uint64(64 - longest)
+                lengths_view[at] = length_at[np.searchsorted(limits, full, "right")]
+
+    split(fill, len(chunks), bit_length)
     return lengths
 
 

@@ -16,10 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._split import split
 from .dwt import COEFFICIENT_BOUND, SubbandPyramid
 
 __all__ = ["QuantizerConfig", "quantize", "dequantize", "synthesis_gains"]
 
+# coefficients one numpy pass maps; its temporaries take a few times that
+_MAP_CHUNK = 1 << 16
 # L2 norms of the one-dimensional 5/3 synthesis basis vectors
 _NORM_LOW = 1.224744871391589  # sqrt(3/2)
 _NORM_HIGH = 0.8477912478906585  # sqrt(23/32)
@@ -103,12 +106,24 @@ def dequantize(pyramid: SubbandPyramid, config: QuantizerConfig) -> SubbandPyram
 
 
 def _map_planes(pyramid: SubbandPyramid, config: QuantizerConfig, op) -> SubbandPyramid:
-    """A new pyramid whose every plane is ``op(plane, step)``."""
+    """A new pyramid whose every plane is ``op(plane, step)``, mapped
+    ``_MAP_CHUNK`` coefficients at a time, the two halves of the stream on
+    two threads (``_split``)."""
     if config.levels != pyramid.levels:
         raise ValueError(
             f"quantizer has {config.levels} levels, pyramid has {pyramid.levels}"
         )
-    out = replace(pyramid, coefficients=np.empty_like(pyramid.coefficients))
-    for plane, target, step in zip(pyramid.plane_arrays(), out.plane_arrays(), config.steps):
-        target[...] = op(plane, step)
-    return out
+    stream = pyramid.coefficients
+    out = np.empty_like(stream)
+    bounds = pyramid.plane_bounds()
+
+    def run(lo: int, hi: int):
+        # each plane's part of [lo, hi), a chunk at a time
+        for step, start, end in zip(config.steps, bounds, bounds[1:]):
+            end = min(end, hi)
+            for at in range(max(start, lo), end, _MAP_CHUNK):
+                part = slice(at, min(at + _MAP_CHUNK, end))
+                out[part] = op(stream[part], step)
+
+    split(run, stream.size)
+    return replace(pyramid, coefficients=out)

@@ -12,6 +12,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from medlink.huffman import (
     huffman_build,
     huffman_decode,
     huffman_encode,
+    payload_bits,
 )
 from medlink.synth import synth_image
 
@@ -836,6 +838,24 @@ def test_code_lengths_equal_the_loop_tie_for_tie():
         assert lengths.tolist() == _code_lengths_by_loop(counts)
     assert int(code_lengths(cases[5]).max()) == 57
     assert int(code_lengths(cases[6]).max()) == 58
+
+
+def test_payload_bits_equal_the_code_lengths_dot_the_counts():
+    rng = np.random.default_rng(71)
+    cases = [[5], [1, 1], [3, 1, 1], [2**40, 1, 1], [2**62, 2**62]]
+    cases += [list(_fibonacci_frequencies(n).values()) for n in (57, 58)]
+    for _ in range(60):
+        size = int(rng.integers(1, 2000))
+        # ties, and counts spread over many orders of magnitude
+        cases.append(rng.integers(1, int(rng.integers(2, 9)), size=size).tolist())
+        cases.append((2 ** rng.uniform(0, 40, size=size)).astype(np.int64).tolist())
+    for counts in cases:
+        bits = payload_bits(np.array(counts, dtype=np.int64))
+        assert type(bits) is int
+        assert bits == sum(map(operator.mul, code_lengths(counts).tolist(), counts))
+    for bad in ([], [3, 0, 2], [1, -1]):
+        with pytest.raises(HuffmanError):
+            payload_bits(np.array(bad, dtype=np.int64))
 
 
 def _code_tables_by_loop(entries):

@@ -38,7 +38,6 @@ from .metrics import (
     compression_ratio,
     entropy_h0,
     mse,
-    peak_psnr,
     psnr,
     quality_report,
     rate_distortion_sweep,
@@ -49,7 +48,6 @@ from .transport import (
     FragmentationPlan,
     fragment,
     nominal_compressed_bytes,
-    required_throughput,
 )
 
 __version__ = "0.1.0"

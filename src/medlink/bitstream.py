@@ -123,11 +123,6 @@ class CompressedBitstream:
         )
 
     @property
-    def bit_length(self) -> int:
-        """Total container size in bits (header plus padded payload)."""
-        return 8 * self.byte_length
-
-    @property
     def byte_length(self) -> int:
         return len(self.header_bytes()) + len(self.payload)
 

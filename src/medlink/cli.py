@@ -258,7 +258,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 results.append((name, phy_name, res))
                 rows.append(
                     f"{name},{width},{height},{phy_name},{scenario},"
-                    f"{args.blocksize},{res.packet_count},{plan.total_payload_bytes},"
+                    f"{args.blocksize},{res.packet_count},{plan.size},"
                     f"{res.total_ms:.3f},{res.effective_throughput / 1e6:.3f},"
                     f"{res.fps_capacity:.3f},{args.fps:g},"
                     f"{_bool_csv(res.supports_fps(args.fps))}"
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     # failures must be matched before the generic usage clause
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (codec.CodecError, BitstreamError, metrics.MetricsError) as exc:

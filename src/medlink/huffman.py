@@ -185,6 +185,8 @@ class HuffmanCode:
         self._ordered = symbols[self._order].astype(np.int32 if fits else np.int64)
         self._counts = counts
         self._gcd = math.gcd(*np.flatnonzero(counts).tolist())
+        # the share of code space each length takes, count * 2**-length
+        self._space = [count / 2.0**length for length, count in enumerate(counts)]
 
     @cached_property
     def _entries(self) -> tuple[int, np.ndarray, np.ndarray | None]:
@@ -485,7 +487,7 @@ def _table_bits(code: HuffmanCode) -> int:
     (CR 2 to 40, 256^2 to 2000^2); lossless codes of their 16-bit versions
     put 6.5% (blobs) to 27% (mixed) there, and decode about 1.2 to 1.8
     times faster from an 18-bit table."""
-    space = [count / 2.0**length for length, count in enumerate(code._counts)]
+    space = code._space
     wide = sum(space[_TABLE_BITS + 1 :]) > _WIDE_SHARE * sum(space)
     return min(code.max_length, _WIDE_TABLE_BITS if wide else _TABLE_BITS)
 
@@ -544,8 +546,8 @@ def _lane_geometry(code: HuffmanCode) -> tuple[int, int]:
     Blocks are rounded down to a multiple of the gcd of the code lengths,
     so that a fixed-length code starts every lane in step.
     """
-    weights = [count / 2.0**length for length, count in enumerate(code._counts)]
-    mean = sum(length * w for length, w in enumerate(weights)) / sum(weights)
+    space = code._space
+    mean = sum(length * w for length, w in enumerate(space)) / sum(space)
     wanted = math.ceil(math.log2(_LANE_SYNC_FACTOR * mean * mean))
     overrun = 1 << min(max(wanted, 7), 11)
     block = min(4 * overrun, 4096)

@@ -32,14 +32,12 @@ visiting every packet: while a running total stays in one binade
 further addition of the same packet time (only the first addition on
 the binade's grid can differ, at a tie), so ``_add_repeatedly`` crosses
 each binade with one multiply. A run of n packets costs O(log n), and a
-transfer O(runs), not O(packets): results keep their runs and build the
-per-packet times only when read.
+transfer O(runs), not O(packets): results keep only their runs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -186,25 +184,18 @@ class ScenarioResult:
 
     ``runs`` holds the per-packet times in packet order as (microseconds,
     packet count) runs, with adjacent equal times merged, so results with
-    the same per-packet times compare equal. ``per_packet_times`` is built
-    from them on each read.
+    the same per-packet times compare equal.
     """
 
     scenario: str
     runs: tuple[tuple[float, int], ...]
-    total_time: float  # microseconds, per_packet_times added left to right
+    total_time: float  # microseconds, the packet times added left to right
     payload_bits: int
     effective_throughput: float  # payload bits per second of airtime
 
     @property
     def packet_count(self) -> int:
         return sum(count for _, count in self.runs)
-
-    @property
-    def per_packet_times(self) -> tuple[float, ...]:  # microseconds
-        return tuple(itertools.chain.from_iterable(
-            itertools.repeat(us, count) for us, count in self.runs
-        ))
 
     @property
     def total_ms(self) -> float:
@@ -214,10 +205,6 @@ class ScenarioResult:
     def fps_capacity(self) -> float:
         """Back-to-back image transfers per second this timing allows."""
         return 1e6 / self.total_time
-
-    @property
-    def meets_10fps(self) -> bool:
-        return self.fps_capacity >= 10.0
 
     def supports_fps(self, images_per_second: float) -> bool:
         return self.fps_capacity >= images_per_second
@@ -285,7 +272,7 @@ def _finish(
         total = _add_repeatedly(total, us, count)
     if not math.isfinite(total):  # packet times that fit can sum past a float
         raise _out_of_range(total)
-    payload_bits = 8 * plan.total_payload_bytes
+    payload_bits = 8 * plan.size
     return ScenarioResult(
         scenario=scenario,
         runs=tuple(runs),
@@ -387,14 +374,6 @@ class SuperframeBudget:
     cfp_duration: float  # microseconds, rounded up to whole slots
     dcf_remainder: float  # microseconds
     feasible: bool
-
-    @property
-    def cfp_ms(self) -> float:
-        return self.cfp_duration / 1000.0
-
-    @property
-    def remainder_ms(self) -> float:
-        return self.dcf_remainder / 1000.0
 
 
 def budget_superframe(

@@ -2,9 +2,7 @@
 
 Error sums are accumulated in wide integers and divided once, so MSE is
 the correctly rounded double of an exact rational. PSNR uses the full
-nominal dynamic range (2**bit_depth - 1); the peak variant uses the
-actual sample range of the reference image, which is the fairer figure
-for modalities that occupy a fraction of their container range.
+nominal dynamic range (2**bit_depth - 1).
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "entropy_h0",
     "mse",
     "psnr",
-    "peak_psnr",
     "quality_report",
     "rate_distortion_sweep",
 ]
@@ -65,24 +62,16 @@ def mse(a: GrayImage, b: GrayImage) -> float:
     return total / (a.width * a.height)
 
 
+def _psnr_of(error: float, bit_depth: int) -> float:
+    if error == 0.0:
+        return math.inf
+    peak = (1 << bit_depth) - 1
+    return 10.0 * math.log10(peak * peak / error)
+
+
 def psnr(a: GrayImage, b: GrayImage) -> float:
     """PSNR in dB over the nominal range; infinity for identical images."""
-    error = mse(a, b)
-    if error == 0.0:
-        return math.inf
-    peak = (1 << a.bit_depth) - 1
-    return 10.0 * math.log10(peak * peak / error)
-
-
-def peak_psnr(reference: GrayImage, b: GrayImage) -> float:
-    """PSNR against the reference image's actual max - min sample range."""
-    error = mse(reference, b)
-    if error == 0.0:
-        return math.inf
-    peak = int(reference.pixels.max()) - int(reference.pixels.min())
-    if peak == 0:
-        return -math.inf
-    return 10.0 * math.log10(peak * peak / error)
+    return _psnr_of(mse(a, b), a.bit_depth)
 
 
 @dataclass(frozen=True)
@@ -93,13 +82,10 @@ class QualityReport:
     reports line up with what actually goes on the wire.
     """
 
-    bits_original: int
-    bits_compressed: int
     cr: float
     entropy_h0: float
     mse: float
     psnr_db: float
-    peak_psnr_db: float
 
     CSV_HEADER = "cr,entropy_h0,mse,psnr_db"
 
@@ -108,14 +94,12 @@ class QualityReport:
 
 
 def quality_report(original: GrayImage, reconstructed: GrayImage, compressed_bits: int) -> QualityReport:
+    error = mse(original, reconstructed)
     return QualityReport(
-        bits_original=original.total_bits,
-        bits_compressed=compressed_bits,
         cr=compression_ratio(original.total_bits, compressed_bits),
         entropy_h0=entropy_h0(original),
-        mse=mse(original, reconstructed),
-        psnr_db=psnr(original, reconstructed),
-        peak_psnr_db=peak_psnr(original, reconstructed),
+        mse=error,
+        psnr_db=_psnr_of(error, original.bit_depth),
     )
 
 
@@ -186,14 +170,14 @@ def rate_distortion_sweep(
                 "as the target ratio rose"
             )
         previous_steps = stream.steps
-        recon = decompress(stream)
+        error = mse(image, decompress(stream))
         nbytes = stream.byte_length
         points.append(
             RatePoint(
                 target_cr=target,
                 achieved_cr=compression_ratio(image.total_bits, 8 * nbytes),
-                mse=mse(image, recon),
-                psnr_db=psnr(image, recon),
+                mse=error,
+                psnr_db=_psnr_of(error, image.bit_depth),
                 byte_length=nbytes,
             )
         )

@@ -1,4 +1,4 @@
-"""Transfer-layer modeling: fragmentation and throughput bookkeeping.
+"""Transfer-layer modeling: fragmentation and nominal transfer sizes.
 
 A compressed image travels as TFTP blocks over UDP/IPv4, with LLC/SNAP
 framing at the link layer. Every data packet therefore carries 40 bytes
@@ -18,10 +18,9 @@ ACK flag. Every data block but the last is full, so the blocks form at
 most two runs of equal packets; the runs are derived from the size on
 demand, and the MAC model prices each run once.
 
-Size bookkeeping uses binary prefixes throughout this module: 1 kbit is
-1024 bit and 1 Mbit is 1024 kbit. That convention is what makes the
-reference rate chain come out exact (a 16-bit 256x256-px image at
-ratio 20 is 51.2 kbit, ten of those per second is 512 kbit/s).
+``nominal_compressed_bytes`` budgets a transfer before any bitstream
+exists, in binary kbit (1 kbit = 1024 bit): a 16-bit 256x256-px image at
+ratio 20 is 51.2 kbit, tabulated as 6400 bytes.
 """
 
 from __future__ import annotations
@@ -38,9 +37,6 @@ __all__ = [
     "BLOCKSIZES",
     "FragmentationPlan",
     "fragment",
-    "required_throughput",
-    "bits_to_kbit",
-    "bits_to_mbit",
     "nominal_compressed_bytes",
 ]
 
@@ -94,10 +90,6 @@ class FragmentationPlan:
     def data_packet_count(self) -> int:
         return self.size // self.blocksize + 1
 
-    @property
-    def total_payload_bytes(self) -> int:
-        return self.size
-
 
 def fragment(bitstream_bytes: int, blocksize: int, tftp_ack: bool = False) -> FragmentationPlan:
     """Split a bitstream of the given byte size into TFTP data blocks.
@@ -107,25 +99,6 @@ def fragment(bitstream_bytes: int, blocksize: int, tftp_ack: bool = False) -> Fr
     size is an exact multiple.
     """
     return FragmentationPlan(blocksize, bitstream_bytes, tftp_ack)
-
-
-def required_throughput(compressed_bits: float, images_per_second: float) -> float:
-    """Sustained link rate, in bits per second, for a given image cadence."""
-    if images_per_second <= 0:
-        raise ValueError("images per second must be positive")
-    if compressed_bits <= 0:
-        raise ValueError("compressed size must be positive")
-    return compressed_bits * images_per_second
-
-
-def bits_to_kbit(bits: float) -> float:
-    """Bits to kbit under the binary convention (1 kbit = 1024 bit)."""
-    return bits / 1024.0
-
-
-def bits_to_mbit(bits: float) -> float:
-    """Bits to Mbit under the binary convention (1 Mbit = 1024 kbit)."""
-    return bits / (1024.0 * 1024.0)
 
 
 def nominal_compressed_bytes(width: int, height: int, bit_depth: int, cr: float = 20.0) -> int:

@@ -66,19 +66,15 @@ def test_ratio_twenty_size_budget_and_runtime():
         start = time.perf_counter()
         stream = codec.compress(image, target_cr=TARGET_CR)
         elapsed = time.perf_counter() - start
-        cr = image.total_bits / stream.bit_length
-        assert stream.bit_length * TARGET_CR <= image.total_bits, (kind, side)
+        bits = 8 * stream.byte_length
+        cr = image.total_bits / bits
+        assert bits * TARGET_CR <= image.total_bits, (kind, side)
         assert CR_WINDOW[0] <= cr <= CR_WINDOW[1], (kind, side, cr)
         assert elapsed < COMPRESS_BUDGET_S, (kind, side, elapsed)
 
 
 def test_reference_throughput_chain_is_exact():
-    # 16-bit pixels at ratio 20, ten images per second, binary prefixes
-    assert transport.required_throughput(256 * 256 * 16 / 20, 10.0) == 512 * 1024
-    assert transport.required_throughput(512 * 512 * 16 / 20, 10.0) == 2 * 1024**2
-    assert transport.required_throughput(2000 * 2000 * 16 / 20, 10.0) == 32_000_000
-    assert transport.bits_to_kbit(256 * 256 * 16 / 20) == 51.2
-    assert transport.bits_to_mbit(32_000_000) == pytest.approx(30.5176, abs=1e-4)
+    # 16-bit pixels at ratio 20, binary prefixes
     assert transport.nominal_compressed_bytes(256, 256, 16) == 6_400
     assert transport.nominal_compressed_bytes(512, 512, 16) == 25_600
     assert transport.nominal_compressed_bytes(2000, 2000, 16) == 390_625
@@ -101,17 +97,17 @@ def test_mac_timing_matches_reference_profile():
 
 def test_ten_images_per_second_feasibility():
     for scenario in SCENARIOS:
-        assert simulate(scenario, _nominal_plan(256), PROFILE_11B).meets_10fps
-        assert simulate(scenario, _nominal_plan(512), PROFILE_11B).meets_10fps
-        assert not simulate(scenario, _nominal_plan(2000), PROFILE_11B).meets_10fps
+        assert simulate(scenario, _nominal_plan(256), PROFILE_11B).supports_fps(10.0)
+        assert simulate(scenario, _nominal_plan(512), PROFILE_11B).supports_fps(10.0)
+        assert not simulate(scenario, _nominal_plan(2000), PROFILE_11B).supports_fps(10.0)
 
 
 def test_superframe_accommodates_polled_image():
     res = simulate("pcf", _nominal_plan(512), PROFILE_11B)
     budget = budget_superframe(res.total_time, 100_000.0)
     assert budget.feasible
-    assert 60.0 <= budget.cfp_ms <= 75.0
-    assert budget.remainder_ms >= 30.0
+    assert 60_000.0 <= budget.cfp_duration <= 75_000.0
+    assert budget.dcf_remainder >= 30_000.0
 
 
 def test_lossless_round_trip_property():
@@ -157,7 +153,7 @@ def test_fragmentation_reassembles_exactly():
         nbytes = int(rng.integers(1, 1_000_000))
         blocksize = int(rng.choice(transport.BLOCKSIZES))
         plan = transport.fragment(nbytes, blocksize)
-        assert plan.total_payload_bytes == nbytes
+        assert plan.size == nbytes
         assert sum(block * count for block, count in plan.runs) == nbytes
         assert all(0 <= block <= blocksize for block, _ in plan.runs)
         assert all(block == blocksize for block, _ in plan.runs[:-1])

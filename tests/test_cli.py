@@ -257,6 +257,27 @@ def test_missing_input_is_a_usage_error(tmp_path):
     assert main(["decompress", "--input", str(tmp_path / "nope.wbc")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        # --out names an existing file (FileExistsError)
+        ["compress", "--input", SPEC_SMALL, "--cr", "2", "--out", "{file}"],
+        # an input path runs through a file (NotADirectoryError)
+        ["decompress", "--input", "{file}/x.wbc", "--out", "{dir}"],
+        ["compress", "--input", "{file}/x.pgm", "--out", "{dir}"],
+        ["simulate", "--mac-config", "{file}/x.mac", "--out", "{dir}"],
+    ],
+    ids=["out-is-a-file", "wbc-under-a-file", "pgm-under-a-file", "mac-config-under-a-file"],
+)
+def test_path_through_a_file_is_a_usage_error(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"")
+    args = [arg.format(file=afile, dir=tmp_path) for arg in command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_synth_spec_is_a_usage_error(tmp_path):
     out = ["--out", str(tmp_path)]
     assert main(["compress", "--input", "synth:wat", *out]) == 2

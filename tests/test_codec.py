@@ -190,7 +190,7 @@ def test_achieved_ratio_meets_target():
     for kind, seed in [("blobs", 3), ("mixed", 4)]:
         img = synth_image(kind, 256, 256, bit_depth=16, seed=seed)
         stream = compress(img, target_cr=20.0)
-        achieved = img.total_bits / stream.bit_length
+        achieved = img.total_bits / (8 * stream.byte_length)
         assert achieved >= 20.0
         recon = decompress(stream)
         assert recon.width == img.width and recon.height == img.height
@@ -200,7 +200,7 @@ def test_higher_target_never_yields_more_bits():
     img = synth_image("blobs", 128, 128, bit_depth=16, seed=9)
     sizes = []
     for target in (2.0, 5.0, 10.0, 20.0, 40.0):
-        sizes.append(compress(img, target_cr=target).bit_length)
+        sizes.append(compress(img, target_cr=target).byte_length)
     assert all(b >= a for a, b in zip(sizes[1:], sizes))
 
 
@@ -508,7 +508,7 @@ def test_scale_grid_is_fine_enough_not_to_overshoot():
     for kind, seed in [("blobs", 1), ("mixed", 2), ("noise", 3)]:
         img = synth_image(kind, 128, 128, bit_depth=16, seed=seed)
         stream = compress(img, target_cr=20.0)
-        achieved = img.total_bits / stream.bit_length
+        achieved = img.total_bits / (8 * stream.byte_length)
         assert 20.0 <= achieved <= 25.0
 
 

@@ -74,6 +74,12 @@ def random_mac_parameters(rng) -> MacParameters:
     )
 
 
+def packet_times(res) -> tuple:
+    """The per-packet times of ``res`` in packet order, expanded from its
+    runs."""
+    return tuple(us for us, count in res.runs for _ in range(count))
+
+
 def per_packet_simulate(scenario, plan, params) -> ScenarioResult:
     """Reference: every packet timed in a Python loop over its MSDU,
     listed here from the plan's size (one exchange per distinct MSDU),
@@ -102,7 +108,7 @@ def per_packet_simulate(scenario, plan, params) -> ScenarioResult:
         total += t
     if not math.isfinite(total):
         raise ValueError(f"a MAC duration of {total} us is out of range")
-    payload_bits = 8 * plan.total_payload_bytes
+    payload_bits = 8 * plan.size
     runs = tuple((us, len(list(group))) for us, group in itertools.groupby(per_packet))
     return ScenarioResult(
         scenario, runs, total, payload_bits, payload_bits * 1e6 / total
@@ -198,10 +204,10 @@ def test_dcf_scales_linearly_in_full_packets():
     p = PROFILE_11B
     one = simulate("dcf", fragment(512, 512), p)  # 512 + terminator
     many = simulate("dcf", fragment(5 * 512, 512), p)
-    per_full = one.per_packet_times[0]
-    assert many.per_packet_times[:5] == (per_full,) * 5
+    per_full = packet_times(one)[0]
+    assert packet_times(many)[:5] == (per_full,) * 5
     assert many.total_time == pytest.approx(
-        5 * per_full + many.per_packet_times[-1], abs=1e-6
+        5 * per_full + packet_times(many)[-1], abs=1e-6
     )
 
 
@@ -225,7 +231,7 @@ def test_rts_variant_adds_exactly_one_reservation():
         control_airtime(PROFILE_11B, 20) + control_airtime(PROFILE_11B, 14) + 2 * 10
     )
     assert rts.total_time - dcf.total_time == pytest.approx(reservation, abs=1e-2)
-    assert rts.per_packet_times[1:] == dcf.per_packet_times[1:]
+    assert packet_times(rts)[1:] == packet_times(dcf)[1:]
 
 
 def test_pcf_charges_pifs_once_and_no_difs():
@@ -253,15 +259,15 @@ def test_total_equals_sum_of_packets():
     plan = fragment(100_000, 1024)
     for scenario in SCENARIOS:
         res = simulate(scenario, plan, PROFILE_11B)
-        assert res.total_time == left_fold(res.per_packet_times)
-        assert len(res.per_packet_times) == res.packet_count
+        assert res.total_time == left_fold(packet_times(res))
+        assert len(packet_times(res)) == res.packet_count
 
 
 def test_total_is_the_in_order_sum_on_every_python():
     """Python 3.12's sum() compensates float rounding; the total must not."""
     res = simulate("dcf-rts", fragment(6_000_000, 512, tftp_ack=True), PROFILE_11B)
-    in_order = left_fold(res.per_packet_times)
-    assert neumaier_sum(res.per_packet_times) != in_order
+    in_order = left_fold(packet_times(res))
+    assert neumaier_sum(packet_times(res)) != in_order
     assert res.total_time == in_order
     assert repr(res.total_time) == "22398270.551002193"
 
@@ -286,7 +292,7 @@ def test_run_wise_timing_matches_the_per_packet_loop():
         for scenario in SCENARIOS:
             got = simulate(scenario, plan, params)
             want = per_packet_simulate(scenario, plan, params)
-            assert got.per_packet_times == want.per_packet_times
+            assert packet_times(got) == packet_times(want)
             assert repr(got.total_time) == repr(want.total_time)
             assert got.packet_count == want.packet_count == plan.data_packet_count
             assert got.payload_bits == want.payload_bits
@@ -321,7 +327,7 @@ def test_results_with_the_same_packet_times_compare_equal():
     joins the full packets, as in the reference's grouped tuple."""
     plan = fragment(5 * 512 + 7, 512, tftp_ack=True)
     got = simulate("dcf", plan, PROFILE_11B)
-    full, last = got.per_packet_times[0], got.per_packet_times[-1]
+    full, last = packet_times(got)[0], packet_times(got)[-1]
     assert got.runs == ((full, 5), (last, 1))
     assert got == per_packet_simulate("dcf", plan, PROFILE_11B)
     # one packet, whose zero-count run of equal followers is dropped
@@ -439,9 +445,8 @@ def test_exchange_times_are_computed_once_per_parameter_set(monkeypatch):
 
 
 def test_a_timed_transfer_keeps_one_pointer_per_packet():
-    """The plan stores no blocks, a result keeps no per-packet tuple, and
-    reading ``per_packet_times`` builds one, sharing one float per
-    distinct packet time."""
+    """The plan stores no blocks and a result keeps no per-packet tuple:
+    timing a transfer holds at most a pointer's worth per packet."""
     tracemalloc.start()
     try:
         plan = fragment(6_000_000, 512, tftp_ack=True)
@@ -450,8 +455,6 @@ def test_a_timed_transfer_keeps_one_pointer_per_packet():
         before = tracemalloc.get_traced_memory()[0]
         res = simulate("dcf-rts", plan, PROFILE_11B)
         kept, peak = tracemalloc.get_traced_memory()
-        times = res.per_packet_times
-        read = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     packets = res.packet_count
@@ -460,8 +463,6 @@ def test_a_timed_transfer_keeps_one_pointer_per_packet():
     assert (kept - before) / packets <= 9
     assert (peak - before) / packets <= 32
     assert peak - before < 8 * 1024
-    assert 8 * packets <= read - kept <= 9 * packets
-    assert len(times) == packets and times == res.per_packet_times
 
 
 def test_effective_throughput_below_phy_rate():
@@ -489,7 +490,7 @@ def test_results_are_deterministic_across_runs():
     a = simulate("dcf-rts", plan, PROFILE_11B)
     b = simulate("dcf-rts", plan, PROFILE_11B)
     assert a.total_time == b.total_time
-    assert a.per_packet_times == b.per_packet_times
+    assert packet_times(a) == packet_times(b)
     assert a.effective_throughput == b.effective_throughput
 
 

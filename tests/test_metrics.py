@@ -15,7 +15,6 @@ from medlink.metrics import (
     compression_ratio,
     entropy_h0,
     mse,
-    peak_psnr,
     psnr,
     quality_report,
     rate_distortion_sweep,
@@ -78,7 +77,6 @@ def test_compression_ratio():
 def test_psnr_identical_images_is_infinite():
     img = synth_image("blobs", 32, 32, bit_depth=8, seed=1)
     assert psnr(img, img) == math.inf
-    assert peak_psnr(img, img) == math.inf
 
 
 def test_psnr_known_value():
@@ -86,19 +84,6 @@ def test_psnr_known_value():
     b = GrayImage(2, 2, 8, np.full((2, 2), 255, dtype=np.uint8))
     # mse = 255^2, so psnr over the 8-bit range is exactly 0 dB
     assert psnr(a, b) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_peak_psnr_uses_actual_range():
-    base = np.zeros((4, 4), dtype=np.uint16)
-    base[0, 0] = 1000
-    a = GrayImage(4, 4, 16, base)
-    shifted = base.copy()
-    shifted[1, 1] = 10
-    b = GrayImage(4, 4, 16, shifted)
-    error = mse(a, b)
-    expected = 10 * math.log10(1000 * 1000 / error)
-    assert peak_psnr(a, b) == pytest.approx(expected)
-    assert peak_psnr(a, b) < psnr(a, b)
 
 
 def test_geometry_mismatch_rejected():
@@ -112,10 +97,13 @@ def test_quality_report_fields_and_csv():
     img = synth_image("mixed", 64, 64, bit_depth=16, seed=8)
     stream = compress(img, target_cr=10.0)
     recon = decompress(stream)
-    report = quality_report(img, recon, stream.bit_length)
-    assert report.bits_original == 64 * 64 * 16
+    bits = 8 * stream.byte_length
+    report = quality_report(img, recon, bits)
     assert report.cr >= 10.0
-    assert report.cr == img.total_bits / stream.bit_length
+    assert report.cr == img.total_bits / bits
+    # one error value feeds both figures, as mse and psnr compute them
+    assert report.mse == mse(img, recon)
+    assert report.psnr_db == psnr(img, recon)
     row = report.csv_row()
     assert row.count(",") == 3
     cr, h0, err, p = row.split(",")

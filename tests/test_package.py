@@ -12,6 +12,14 @@ def test_submodules_are_not_shadowed_by_package_exports():
         assert getattr(medlink, info.name) is module, info.name
 
 
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(medlink.__path__):
+        module = importlib.import_module(f"medlink.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"medlink.{info.name}.{name}"
+        exec(f"from medlink.{info.name} import *", {})
+
+
 # the layer functions the benchmark tracer wraps as attributes of
 # medlink.codec; the codec must keep calling each through the module
 TRACED_CODEC_NAMES = (

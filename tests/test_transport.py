@@ -4,11 +4,8 @@ from medlink.transport import (
     BLOCKSIZES,
     PACKET_OVERHEAD,
     FragmentationPlan,
-    bits_to_kbit,
-    bits_to_mbit,
     fragment,
     nominal_compressed_bytes,
-    required_throughput,
 )
 
 
@@ -21,7 +18,7 @@ def test_fragment_splits_and_pads_msdus():
     plan = fragment(1300, 512)
     assert plan.runs == ((512, 2), (276, 1))
     assert plan.data_packet_count == 3
-    assert plan.total_payload_bytes == 1300
+    assert plan.size == 1300
 
 
 def test_exact_multiple_gets_zero_length_terminator():
@@ -73,26 +70,6 @@ def test_tftp_ack_flag_counts_reverse_overhead():
     # the ACKs are the MAC model's to time; the data blocks stay the same
     assert chatty.tftp_ack and not quiet.tftp_ack
     assert chatty.runs == quiet.runs
-
-
-def test_required_throughput_reference_chain():
-    # 16-bit images at ratio 20, ten per second, binary prefixes
-    assert required_throughput(256 * 256 * 16 / 20, 10) == 512 * 1024
-    assert required_throughput(512 * 512 * 16 / 20, 10) == 2 * 1024 * 1024
-    assert required_throughput(2000 * 2000 * 16 / 20, 10) == 32_000_000
-    assert bits_to_mbit(32_000_000) == pytest.approx(30.5176, abs=5e-5)
-
-
-def test_throughput_unit_helpers():
-    assert bits_to_kbit(1024) == 1.0
-    assert bits_to_mbit(1024 * 1024) == 1.0
-
-
-def test_required_throughput_validates_inputs():
-    with pytest.raises(ValueError):
-        required_throughput(1000, 0)
-    with pytest.raises(ValueError):
-        required_throughput(0, 10)
 
 
 def test_nominal_sizes_of_reference_geometries():
